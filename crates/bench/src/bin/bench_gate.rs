@@ -30,7 +30,8 @@
 //!   round-trip — the observability contract, checked structurally on
 //!   every host;
 //! * the `serving` section is missing, the columnar `RegisterTable`
-//!   encoding failed to beat the row-major payload byte-for-byte, or
+//!   frame is not byte-for-byte the size the committed snapshot
+//!   recorded for the same seed (the wire format moved), or
 //!   the shed probe produced no typed `Busy` (admission control
 //!   stopped shedding over-quota work) — the serving contract, checked
 //!   structurally on every host; the fairness gate — interactive p99
@@ -391,8 +392,9 @@ fn main() {
     }
 
     // --- serving: structure always, fairness timing unless 1 CPU ------
-    // Columnar-beats-row and typed-Busy shedding are deterministic
-    // properties of the code, gated on every host. The fairness A/B is
+    // The RegisterTable frame size (fixed input for a fixed seed) and
+    // typed-Busy shedding are deterministic properties of the code,
+    // gated on every host. The fairness A/B is
     // an intra-run latency comparison like the obs overhead above, but
     // it additionally needs the interactive and bulk clients to really
     // contend — a single time-sliced core serializes them and the
@@ -400,21 +402,25 @@ fn main() {
     match fresh.get("serving") {
         None => failures.push("serving section missing from the fresh artifact".to_owned()),
         Some(serving) => {
-            let field = |key: &str| serving.get(key).and_then(Json::as_f64);
-            match (
-                field("columnar_register_bytes"),
-                field("row_register_bytes"),
-            ) {
-                (Some(columnar), Some(row)) => {
-                    if columnar >= row {
+            let register_bytes = |run: &Json| {
+                run.get("serving")?
+                    .get("columnar_register_bytes")
+                    .and_then(Json::as_f64)
+            };
+            let seed = |run: &Json| run.get("seed").and_then(Json::as_f64);
+            match (register_bytes(&fresh), register_bytes(&snapshot)) {
+                // The encoded table is a function of the seed alone.
+                (Some(now), Some(recorded)) if seed(&fresh) == seed(&snapshot) => {
+                    if now != recorded {
                         failures.push(format!(
-                            "columnar RegisterTable ({columnar} bytes) did not beat the \
-                             row-major encoding ({row} bytes)"
+                            "columnar RegisterTable frame is {now} bytes, the committed \
+                             snapshot recorded {recorded} for the same seed: the wire \
+                             format moved"
                         ));
                     }
                 }
-                _ => failures
-                    .push("serving columnar/row RegisterTable byte counts missing".to_owned()),
+                (Some(_), Some(_)) => {}
+                _ => failures.push("serving columnar RegisterTable byte count missing".to_owned()),
             }
             if serving
                 .get("shed_probe")

@@ -312,14 +312,9 @@ fn main() {
                 num(probe, "server_shed"),
             );
         }
-        let columnar = num(serving, "columnar_register_bytes");
-        let row = num(serving, "row_register_bytes");
         println!(
-            "columnar `RegisterTable` **{:.1} KiB** vs row-major **{:.1} KiB** \
-             ({:.1}% smaller, {} rows)",
-            columnar / 1024.0,
-            row / 1024.0,
-            (1.0 - columnar / row) * 100.0,
+            "columnar `RegisterTable` frame **{:.1} KiB** ({} rows)",
+            num(serving, "columnar_register_bytes") / 1024.0,
             num(serving, "columnar_rows"),
         );
         println!();

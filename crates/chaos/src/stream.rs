@@ -1,6 +1,8 @@
 //! Chaos wrappers for byte streams and server acceptors.
 
 use std::io::{self, Read, Write};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use paq_server::{Accepted, Acceptor, Connection};
@@ -23,13 +25,18 @@ use crate::plan::{FaultPlan, Injection};
 ///   stalling link (a slowloris peer, from the server's perspective).
 ///
 /// With an empty plan the wrapper is a passthrough.
+///
+/// A stream split with [`Connection::try_clone_writer`] stays one
+/// connection: both handles consult the same plan counters (the plan
+/// is shared) and the same severed flag, so a fault injected on the
+/// server's writer handle also ends its reader.
 #[derive(Debug)]
 pub struct ChaosStream<S> {
     inner: S,
     plan: FaultPlan,
     read_site: String,
     write_site: String,
-    dead: bool,
+    dead: Arc<AtomicBool>,
 }
 
 impl<S> ChaosStream<S> {
@@ -41,13 +48,13 @@ impl<S> ChaosStream<S> {
             plan: plan.clone(),
             read_site: format!("{label}.read"),
             write_site: format!("{label}.write"),
-            dead: false,
+            dead: Arc::new(AtomicBool::new(false)),
         }
     }
 
     /// Whether an injected fault has severed this stream.
     pub fn is_severed(&self) -> bool {
-        self.dead
+        self.dead.load(Ordering::Acquire)
     }
 
     /// Access the wrapped stream.
@@ -65,7 +72,10 @@ impl<S> ChaosStream<S> {
     }
 
     fn sever(&mut self, site: &str, call: u64) -> io::Error {
-        self.dead = true;
+        // Pairs with the `Acquire` load in `is_severed`: the other
+        // handle of a split stream that sees the flag also sees the
+        // torn bytes this handle delivered first.
+        self.dead.store(true, Ordering::Release);
         io::Error::new(
             io::ErrorKind::ConnectionReset,
             FaultPlan::error_for(site, call).to_string(),
@@ -75,7 +85,7 @@ impl<S> ChaosStream<S> {
 
 impl<S: Read> Read for ChaosStream<S> {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        if self.dead {
+        if self.is_severed() {
             return Err(Self::severed_error());
         }
         let verdict = self.plan.evaluate(&self.read_site);
@@ -96,7 +106,7 @@ impl<S: Read> Read for ChaosStream<S> {
 
 impl<S: Write> Write for ChaosStream<S> {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        if self.dead {
+        if self.is_severed() {
             return Err(Self::severed_error());
         }
         let verdict = self.plan.evaluate(&self.write_site);
@@ -122,7 +132,7 @@ impl<S: Write> Write for ChaosStream<S> {
     }
 
     fn flush(&mut self) -> io::Result<()> {
-        if self.dead {
+        if self.is_severed() {
             return Err(Self::severed_error());
         }
         self.inner.flush()
@@ -135,14 +145,13 @@ impl<S: Connection> Connection for ChaosStream<S> {
     }
 
     fn try_clone_writer(&self) -> io::Result<Self> {
-        // A clone would dodge injection bookkeeping (two handles, one
-        // plan cursor), so chaos streams refuse to split; the server
-        // then refuses the v7 handshake and the legacy protocol — the
-        // one the chaos suite exercises — is unaffected.
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "chaos streams cannot be split into reader and writer",
-        ))
+        Ok(ChaosStream {
+            inner: self.inner.try_clone_writer()?,
+            plan: self.plan.clone(),
+            read_site: self.read_site.clone(),
+            write_site: self.write_site.clone(),
+            dead: Arc::clone(&self.dead),
+        })
     }
 }
 

@@ -13,6 +13,13 @@
 //! * **determinism** — a fixed plan seed produces the identical outcome
 //!   with a 1-worker and a 4-worker server.
 //!
+//! Every client here speaks the one served protocol — handshake, tagged
+//! frames, the fair admission queue — so the path under chaos is the
+//! path production traffic takes. Ordinal triggers count through the
+//! handshake: each frame a client reads costs three `read` calls (the
+//! first length byte, the other three, the payload), each frame written
+//! one `write` call.
+//!
 //! The server worker-pool size for the traffic tests follows
 //! `PAQ_THREADS` (the CI matrix runs 1 and 4); the determinism test
 //! pins both counts itself.
@@ -24,14 +31,17 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use std::{env, fs};
 
-use paq_chaos::{sites, ChaosStream, FaultPlan, Trigger};
+use paq_chaos::{sites, ChaosAcceptor, ChaosStream, FaultPlan, Trigger};
 use paq_db::{DbConfig, Durability, PackageDb};
+use paq_relational::codec::crc32;
 use paq_relational::{DataType, Schema, Table, Value};
-use paq_server::wire::{Request, Response};
+use paq_server::wire::{read_frame, Request, Response};
+use paq_server::wire7::{decode_request_v7, decode_response_v7, encode_request_v7};
 use paq_server::{
-    pipe_listener, Acceptor, Client, ClientError, FaultKind, RequestBuilder, RetryPolicy,
-    RetryingClient, Server, ServerConfig,
+    pipe_listener, Acceptor, Client, ClientError, FaultKind, Hello, RequestBuilder, RetryPolicy,
+    RetryingClient, Server, ServerConfig, ShedClass, WireError, CONTROL_TAG, WIRE_VERSION,
 };
+use paq_store::{wal, StoreError, WalOp, WalRecord};
 
 /// Server pool size under test (`PAQ_THREADS`, default 4).
 fn worker_count() -> usize {
@@ -361,10 +371,11 @@ fn lost_ack_retry_with_token_is_deduplicated() {
     let server = Server::new(db.session());
     let (connector, listener) = pipe_listener();
     let plan = FaultPlan::new(0xC4A0_0005);
-    // The request writes go through; the very first read (the ack)
-    // dies. From the client's view the append may or may not have
-    // happened.
-    plan.on("lossy.read", Trigger::FailNth(1));
+    // The handshake and the request write go through; the first read
+    // of the response (the ack) dies: reads 1–3 are the HelloAck frame,
+    // so the ack starts at read 3 + 1 = 4. From the client's view the
+    // append may or may not have happened.
+    plan.on("lossy.read", Trigger::FailNth(4));
 
     with_server(&server, listener, || {
         const TOKEN: u64 = 0x7EA_0001;
@@ -434,7 +445,12 @@ fn stalled_mid_frame_client_gets_typed_timeout_and_server_survives() {
 
     with_server(&server, listener, || {
         let mut slow = ChaosStream::new(connector.connect().unwrap(), &plan, "slow");
-        let payload = Request::Stats.encode();
+        let hello = Hello {
+            max_version: WIRE_VERSION,
+            client_id: 0,
+            class: ShedClass::Normal,
+        };
+        let payload = hello.encode();
         let frame = {
             let mut f = (payload.len() as u32).to_be_bytes().to_vec();
             f.extend_from_slice(&payload);
@@ -445,15 +461,18 @@ fn stalled_mid_frame_client_gets_typed_timeout_and_server_survives() {
         let _ = slow.write_all(&frame[4..]); // may race the server closing
         let _ = slow.flush();
 
-        // The server answered with a typed Timeout, then closed.
-        match Response::read_from(&mut slow) {
-            Ok(Some(Response::Error(fault))) => {
+        // The server answered with a typed Timeout — a protocol frame
+        // on the control tag, though no handshake completed — then
+        // closed.
+        let answer = read_frame(&mut slow).unwrap().expect("a typed answer");
+        match decode_response_v7(&answer).unwrap() {
+            (CONTROL_TAG, Response::Error(fault)) => {
                 assert_eq!(fault.kind, FaultKind::Timeout);
                 assert!(fault.message.contains("incomplete"), "{}", fault.message);
             }
             other => panic!("expected a typed Timeout fault, got {other:?}"),
         }
-        assert!(matches!(Response::read_from(&mut slow), Ok(None)), "closed");
+        assert!(matches!(read_frame(&mut slow), Ok(None)), "closed");
 
         // The handler is free again: a healthy client is served.
         let mut healthy = Client::over(connector.connect().unwrap());
@@ -462,6 +481,137 @@ fn stalled_mid_frame_client_gets_typed_timeout_and_server_survives() {
     });
     assert_eq!(server.frame_timeouts(), 1);
     assert_eq!(server.handler_panics(), 0);
+}
+
+// ---------------------------------------------------------------------
+// Plan 7: faults on the *server's* side of the connection. The acceptor
+// wraps every accepted stream; a response torn mid-write must end that
+// connection (the split reader and writer handles share one severed
+// flag), surface to the client as a transient error, and the retry on
+// a fresh connection must produce the same package.
+// ---------------------------------------------------------------------
+#[test]
+fn server_side_torn_response_is_transient_and_the_retry_converges() {
+    let db = PackageDb::with_config(DbConfig::default());
+    db.register_table("Items", items_table(30, 0x5E4E));
+    let server = Server::with_config(
+        db.session(),
+        ServerConfig {
+            workers: worker_count(),
+            ..ServerConfig::default()
+        },
+    );
+    let (connector, listener) = pipe_listener();
+    let plan = FaultPlan::new(0xC4A0_0007);
+    // Server writes on the first connection: #1 the HelloAck, #2 the
+    // first response — torn halfway, then the stream is severed.
+    plan.on("server.write", Trigger::ShortWriteNth(2));
+
+    let acceptor = ChaosAcceptor::new(listener, &plan, "server");
+    with_server(&server, acceptor, || {
+        // First, what one attempt sees: half a frame, then the close.
+        let mut raw = Client::over(connector.connect().unwrap());
+        let torn = pinned_query("Items")
+            .send(&mut raw)
+            .expect_err("the torn response must surface");
+        assert!(
+            matches!(torn, ClientError::Wire(WireError::Truncated)),
+            "{torn:?}"
+        );
+        assert!(torn.is_transient(), "{torn:?}");
+        assert_eq!(plan.injected(), 1, "{:?}", plan.report());
+
+        // The same plan, rearmed two writes on (the retry's handshake
+        // is write #3, so the next first response is #4): a retrying
+        // client rides through it.
+        plan.on("server.write", Trigger::ShortWriteNth(4));
+        let mut client = RetryingClient::new(
+            || connector.connect(),
+            RetryPolicy {
+                base_backoff: Duration::from_millis(1),
+                jitter: 0.0,
+                seed: 13,
+                ..RetryPolicy::default()
+            },
+        );
+        let exec = pinned_query("Items").send_retrying(&mut client).unwrap();
+        let stats = client.retry_stats();
+        assert_eq!(stats.retries, 1, "{stats:?}");
+        assert_eq!(plan.injected(), 2, "{:?}", plan.report());
+
+        // Same answer as a connection no fault touched.
+        let clean = pinned_query("Items").send_retrying(&mut client).unwrap();
+        assert_eq!(exec.pairs, clean.pairs, "the retry converged");
+        assert!(!exec.package().is_empty());
+    });
+    assert_eq!(server.handler_panics(), 0, "faults, not panics");
+}
+
+// ---------------------------------------------------------------------
+// Hostile input: a table image whose checksums all verify but whose row
+// count claims 2^60 rows — in the table header, or in a chunk header —
+// must be a typed error on disk and on the wire (one decoder serves
+// both), never a capacity-overflow panic or a giant reservation.
+// ---------------------------------------------------------------------
+#[test]
+fn hostile_row_count_is_a_typed_error_on_disk_and_on_the_wire() {
+    let mut table = Table::new(Schema::from_pairs(&[("x", DataType::Int)]));
+    table.push_row(vec![Value::Int(7)]).unwrap();
+    // Name "T" (8 + 1 bytes), schema of one column "x" (8 + 8 + 1 + 1):
+    // the table's row count sits 27 bytes past the start of the name,
+    // its only chunk's row count 16 bytes further (rows, chunk count).
+    const ROWS_AFTER_NAME: usize = 9 + 18;
+    const HOSTILE: [u8; 8] = (1u64 << 60).to_le_bytes();
+
+    for at in [ROWS_AFTER_NAME, ROWS_AFTER_NAME + 16] {
+        // On disk: a WAL record, its record checksum recomputed so only
+        // the decoder stands between the count and an allocation.
+        let frame = wal::encode_record(&WalRecord {
+            lsn: 1,
+            op: WalOp::RegisterTable {
+                name: "T".into(),
+                table: Arc::new(table.clone()),
+                token: None,
+            },
+        });
+        let mut payload = frame[8..].to_vec();
+        let name_at = 8 + 1; // lsn, kind
+        payload[name_at + at..name_at + at + 8].copy_from_slice(&HOSTILE);
+        let mut log = wal::WAL_MAGIC.to_vec();
+        log.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        log.extend_from_slice(&crc32(&payload).to_le_bytes());
+        log.extend_from_slice(&payload);
+        match wal::scan(&log) {
+            Err(StoreError::WalCorrupt { offset: 8, detail }) => {
+                assert!(
+                    detail.contains("rows") || detail.contains("bytes"),
+                    "{detail}"
+                )
+            }
+            other => panic!("expected typed WAL corruption, got {other:?}"),
+        }
+
+        // On the wire: the same table in a RegisterTable frame.
+        let mut payload = encode_request_v7(
+            3,
+            &Request::RegisterTable {
+                name: "T".into(),
+                table: table.clone(),
+                token: None,
+            },
+        );
+        let name_at = 2 + 4 + 1; // version + frame kind, tag, request kind
+        payload[name_at + at..name_at + at + 8].copy_from_slice(&HOSTILE);
+        match decode_request_v7(&payload) {
+            Err(WireError::Malformed(detail)) => {
+                assert!(
+                    detail.contains("rows") || detail.contains("bytes"),
+                    "{detail}"
+                )
+            }
+            other => panic!("expected a typed malformed-frame error, got {other:?}"),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -646,8 +796,9 @@ fn lost_ack_retry_across_restart_is_deduplicated() {
         let server = Server::new(db.session());
         let (connector, listener) = pipe_listener();
         let plan = FaultPlan::new(0xC4A0_0009);
-        // Request write goes through; the ack read dies.
-        plan.on("lossy.read", Trigger::FailNth(1));
+        // Handshake and request write go through; the ack read dies
+        // (reads 1–3 are the HelloAck frame, the ack starts at read 4).
+        plan.on("lossy.read", Trigger::FailNth(4));
         with_server(&server, listener, || {
             let mut lossy = Client::over(ChaosStream::new(
                 connector.connect().unwrap(),

@@ -275,6 +275,49 @@ fn corrupt_snapshot_is_a_typed_storage_error() {
 }
 
 #[test]
+fn stores_of_an_older_format_are_refused_typed() {
+    // The disk format moved to the shared codec's layout under new
+    // magics; a directory written before that (PAQWAL02 / PAQSNAP2) is
+    // refused by name — never misdecoded, never a panic.
+    for (file, old_magic) in [("wal.paq", b"PAQWAL02"), ("snap-", b"PAQSNAP2")] {
+        let dir = TempDir::new(&format!("old-{}", file.trim_end_matches('-')));
+        {
+            let db = PackageDb::open(config(), durability(dir.path(), 1)).unwrap();
+            db.register_table("Items", items(40));
+            db.snapshot_now().unwrap();
+            db.append_row(
+                "Items",
+                vec![Value::Float(1.0), Value::Float(1.0), "low".into()],
+            )
+            .unwrap();
+        }
+        let path = fs::read_dir(dir.path())
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .map(|e| e.path())
+            .find(|p| {
+                p.file_name()
+                    .is_some_and(|n| n.to_string_lossy().starts_with(file))
+            })
+            .expect("store file exists");
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[..8].copy_from_slice(old_magic);
+        fs::write(&path, &bytes).unwrap();
+
+        match PackageDb::open(config(), durability(dir.path(), 1)) {
+            Err(DbError::Storage { detail }) => {
+                let old = String::from_utf8_lossy(old_magic);
+                assert!(
+                    detail.contains("unsupported") && detail.contains(&*old),
+                    "detail names the refused format: {detail}"
+                )
+            }
+            other => panic!("an old-format store must refuse to open: {other:?}"),
+        }
+    }
+}
+
+#[test]
 fn auto_snapshot_compacts_the_wal() {
     let dir = TempDir::new("auto-snap");
     let durability = Durability {

@@ -13,7 +13,9 @@
 //! * a scalar expression language ([`Expr`]) for base (`WHERE`) predicates,
 //! * aggregation ([`agg`]) and group-by ([`groupby`]) used by the offline
 //!   partitioner's centroid/radius queries,
-//! * CSV import/export ([`csv`]) for persisting datasets and packages.
+//! * CSV import/export ([`csv`]) for persisting datasets and packages,
+//! * the byte codec ([`codec`]) every wire frame, WAL record and snapshot
+//!   image serialises tables, schemas and values with.
 //!
 //! The engine is deliberately simple — no buffer pool, no SQL front end —
 //! but it is the *only* data access path used by the rest of the system,
@@ -21,6 +23,7 @@
 //! through the DBMS.
 
 pub mod agg;
+pub mod codec;
 pub mod csv;
 pub mod error;
 pub mod expr;

@@ -4,8 +4,8 @@
 //!
 //! PR 4's server bounded load with a single global in-flight cap: one
 //! bulk client queueing deep work starves interactive clients behind
-//! the same bound. v7 replaces the per-*request* part of that bound
-//! with a [`FairScheduler`]: every pipelined request is queued under
+//! the same bound. The per-*request* part of that bound is now a
+//! [`FairScheduler`]: every request is queued under
 //! its connection's admission class ([`ShedClass`]) and client
 //! identity, executors dequeue by smoothed weighted round-robin, and
 //! when the queue saturates the scheduler sheds the *lowest-priority*

@@ -1,7 +1,7 @@
 //! The typed request-building surface: one module that re-exports the
-//! request/response vocabulary and a fluent [`RequestBuilder`] that
-//! replaces the free-form `execute_with(relation, paql, options)`
-//! constructors (now deprecated on [`Client`] and [`RetryingClient`]).
+//! request/response vocabulary and a fluent [`RequestBuilder`] — the
+//! one way to execute a query with a relation guard or per-request
+//! options on [`Client`] and [`RetryingClient`].
 //!
 //! ```no_run
 //! use paq_server::api::RequestBuilder;
@@ -22,8 +22,8 @@
 //!
 //! The same builder drives every client shape: [`RequestBuilder::send`]
 //! for the blocking [`Client`], [`RequestBuilder::send_retrying`] for
-//! [`RetryingClient`], and [`RequestBuilder::submit`] for the pipelined
-//! v7 [`PipelinedClient`].
+//! [`RetryingClient`], and [`RequestBuilder::submit`] for the
+//! [`PipelinedClient`].
 
 use std::io::{Read, Write};
 
@@ -170,7 +170,7 @@ impl RequestBuilder {
         client.execute_opts(&self.relation, &self.paql, self.options.clone())
     }
 
-    /// Submit through a pipelined v7 [`PipelinedClient`]; returns the
+    /// Submit through a [`PipelinedClient`]; returns the
     /// completion ticket.
     pub fn submit<C: Connection>(
         &self,

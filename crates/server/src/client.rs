@@ -3,7 +3,10 @@
 //! [`Client`] wraps a connected stream — a [`TcpStream`] from
 //! [`Client::connect`], or either end of the in-memory
 //! [duplex pipe](crate::transport) via [`Client::over`] — and speaks
-//! one request/response round trip per call. Backpressure
+//! one request/response round trip per call: the same tagged
+//! [frames](crate::wire7) as the [pipelined
+//! client](crate::pipeline::PipelinedClient), with one tag outstanding
+//! (the `Hello` handshake rides the first call). Backpressure
 //! ([`Response::Busy`]) and server-reported faults surface as typed
 //! [`ClientError`]s; everything else returns the decoded payload.
 //!
@@ -25,33 +28,45 @@ use std::net::{TcpStream, ToSocketAddrs};
 
 use paq_relational::{Table, Value};
 
-use crate::error::{ClientError, ClientResult};
-use crate::wire::{ExecOptions, RemoteExecution, Request, Response, StatsReply};
+use crate::error::{ClientError, ClientResult, WireError};
+use crate::pipeline::HelloOptions;
+use crate::wire::{
+    read_frame, write_frame, ExecOptions, RemoteExecution, Request, Response, StatsReply,
+    WIRE_VERSION,
+};
+use crate::wire7::{decode_response_v7, encode_request_v7, HelloAck, CONTROL_TAG};
 
-/// A connected PaQL client. One outstanding request at a time (the
-/// protocol is strictly request/response); not `Clone` — open one
-/// client per concurrent caller, the server hands each its own session.
+/// A connected PaQL client. One outstanding request at a time; not
+/// `Clone` — open one client per concurrent caller, the server hands
+/// each its own session.
 #[derive(Debug)]
 pub struct Client<C: Read + Write> {
     conn: C,
+    /// Set once the `Hello`/`HelloAck` handshake has completed.
+    greeted: bool,
+    next_tag: u32,
 }
 
 impl Client<TcpStream> {
-    /// Connect over TCP. Disables Nagle's algorithm: the protocol is
+    /// Connect over TCP. Disables Nagle's algorithm: this client is
     /// strict request/response with small frames, exactly the shape
     /// delayed-ACK coupling penalizes.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
         let conn = TcpStream::connect(addr)?;
         conn.set_nodelay(true)?;
-        Ok(Client { conn })
+        Ok(Client::over(conn))
     }
 }
 
 impl<C: Read + Write> Client<C> {
     /// Wrap an already-connected byte stream (e.g. an in-memory pipe
-    /// end).
+    /// end). Nothing is sent until the first call.
     pub fn over(conn: C) -> Self {
-        Client { conn }
+        Client {
+            conn,
+            greeted: false,
+            next_tag: 0,
+        }
     }
 
     /// Unwrap the underlying stream.
@@ -59,40 +74,44 @@ impl<C: Read + Write> Client<C> {
         self.conn
     }
 
-    /// One request/response round trip. `Busy` and server faults become
-    /// typed errors here so every typed call only sees its own success
-    /// variant.
-    fn roundtrip(&mut self, request: &Request) -> ClientResult<Response> {
+    /// Write one frame and read the peer's answer to it.
+    fn exchange(&mut self, payload: &[u8]) -> ClientResult<Vec<u8>> {
         // A rejected connection (typed Busy at accept time) may already
         // have closed under us, making the *write* fail — but the Busy
         // frame is still buffered for reading. Hold the write error and
         // prefer whatever the server managed to say.
-        let write_result = request.write_to(&mut self.conn);
-        match Response::read_from(&mut self.conn) {
-            Ok(Some(Response::Busy {
-                in_flight,
-                max_in_flight,
-                retry_after_ms,
-                shed_class,
-            })) => Err(ClientError::Busy {
-                in_flight,
-                max_in_flight,
-                retry_after_ms,
-                shed_class,
-            }),
-            Ok(Some(Response::Error(fault))) => Err(ClientError::Server(fault)),
-            Ok(Some(response)) => {
-                write_result?;
-                Ok(response)
-            }
+        let wrote = write_frame(&mut self.conn, payload);
+        match read_frame(&mut self.conn) {
+            Ok(Some(answer)) => Ok(answer),
             Ok(None) => {
-                write_result?;
+                wrote?;
                 Err(ClientError::ConnectionClosed)
             }
             Err(read_error) => {
-                write_result?;
+                wrote?;
                 Err(read_error.into())
             }
+        }
+    }
+
+    /// One request/response round trip (preceded, on the first call, by
+    /// the handshake). `Busy` and server faults become typed errors here
+    /// so every typed call only sees its own success variant.
+    fn roundtrip(&mut self, request: &Request) -> ClientResult<Response> {
+        if !self.greeted {
+            let answer = self.exchange(&HelloOptions::default().hello().encode())?;
+            decode_ack(&answer)?;
+            self.greeted = true;
+        }
+        let tag = self.next_tag;
+        self.next_tag = (tag + 1) % CONTROL_TAG;
+        let answer = self.exchange(&encode_request_v7(tag, request))?;
+        match decode_response_v7(&answer)? {
+            (_, response @ (Response::Busy { .. } | Response::Error(_))) => Err(fault_of(response)),
+            (got, response) if got == tag => Ok(response),
+            (got, _) => Err(ClientError::UnexpectedResponse(format!(
+                "wanted tag {tag}, got tag {got}"
+            ))),
         }
     }
 
@@ -101,26 +120,11 @@ impl<C: Read + Write> Client<C> {
         self.execute_opts("", paql, ExecOptions::default())
     }
 
-    /// Execute a PaQL query; `relation`, when non-empty, must match the
-    /// query's `FROM` relation, and `options` override the connection
-    /// session's configuration for this request only.
-    #[deprecated(
-        since = "0.1.0",
-        note = "build the request with `paq_server::api::RequestBuilder` and call \
-                `.send(&mut client)` instead"
-    )]
-    pub fn execute_with(
-        &mut self,
-        relation: &str,
-        paql: &str,
-        options: ExecOptions,
-    ) -> ClientResult<RemoteExecution> {
-        self.execute_opts(relation, paql, options)
-    }
-
-    /// Non-deprecated internal execute path shared by [`Client::execute`],
-    /// the deprecated free-form constructor above, and
-    /// [`RequestBuilder`](crate::api::RequestBuilder).
+    /// Execute path shared by [`Client::execute`] and
+    /// [`RequestBuilder`](crate::api::RequestBuilder): `relation`, when
+    /// non-empty, must match the query's `FROM` relation, and `options`
+    /// override the connection session's configuration for this request
+    /// only.
     pub(crate) fn execute_opts(
         &mut self,
         relation: &str,
@@ -241,6 +245,43 @@ impl<C: Read + Write> Client<C> {
             Response::ShuttingDown => Ok(()),
             other => Err(unexpected("ShuttingDown", &other)),
         }
+    }
+}
+
+/// Decode the server's answer to a `Hello`. When it is not an ack, the
+/// server refused the connection (accept-time `Busy`, `Version` fault,
+/// …) with a response on the control tag — surface that instead of
+/// "malformed".
+pub(crate) fn decode_ack(payload: &[u8]) -> ClientResult<HelloAck> {
+    match HelloAck::decode(payload) {
+        Ok(ack) if ack.version == WIRE_VERSION => Ok(ack),
+        Ok(ack) => Err(ClientError::Wire(WireError::Version {
+            got: ack.version,
+            want: WIRE_VERSION,
+        })),
+        Err(e) => Err(match decode_response_v7(payload) {
+            Ok((_, response)) => fault_of(response),
+            Err(_) => e.into(),
+        }),
+    }
+}
+
+/// The typed error a `Busy` or `Error` response stands for.
+pub(crate) fn fault_of(response: Response) -> ClientError {
+    match response {
+        Response::Busy {
+            in_flight,
+            max_in_flight,
+            retry_after_ms,
+            shed_class,
+        } => ClientError::Busy {
+            in_flight,
+            max_in_flight,
+            retry_after_ms,
+            shed_class,
+        },
+        Response::Error(fault) => ClientError::Server(fault),
+        other => unexpected("Busy/Error", &other),
     }
 }
 

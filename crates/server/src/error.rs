@@ -64,6 +64,13 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+/// A decode failure of the shared byte codec is a malformed payload.
+impl From<paq_relational::codec::CodecError> for WireError {
+    fn from(e: paq_relational::codec::CodecError) -> Self {
+        WireError::Malformed(e.0)
+    }
+}
+
 impl From<io::Error> for WireError {
     fn from(e: io::Error) -> Self {
         if e.kind() == io::ErrorKind::UnexpectedEof {
@@ -91,8 +98,8 @@ pub enum ClientError {
         max_in_flight: u64,
         /// The server's pacing hint: wait this long before retrying.
         retry_after_ms: u64,
-        /// Which admission class was shed (v7 fairness admission only;
-        /// `None` for accept-time connection rejections and v6 peers).
+        /// Which admission class was shed (request-level fairness
+        /// admission only; `None` for accept-time connection rejections).
         shed_class: Option<crate::wire::ShedClass>,
     },
     /// The server reported an application-level error.

@@ -7,27 +7,28 @@
 //! This crate turns the in-process [`PackageDb`](paq_db::PackageDb)
 //! into a multi-tenant service:
 //!
-//! * [`wire`] — the **protocol**: length-prefixed frames with a
-//!   hand-rolled binary encoding of requests
-//!   ([`Request::Execute`],
-//!   `RegisterTable`, `AppendRow`, `Explain`, `Stats`, `Shutdown`) and
+//! * [`wire`] + [`wire7`] — the **protocol**, one version of it:
+//!   length-prefixed frames carrying a `Hello`/`HelloAck` handshake and
+//!   then tagged requests ([`Request::Execute`], `RegisterTable`,
+//!   `AppendRow`, `Explain`, `Stats`, `Metrics`, `Shutdown`) and
 //!   responses (packages with full
-//!   [`explain`](paq_db::Execution::explain) text and
-//!   SKETCHREFINE counters, typed faults, typed
-//!   [`Busy`](wire::Response::Busy) backpressure). Defined over generic
+//!   [`explain`](paq_db::Execution::explain) text and SKETCHREFINE
+//!   counters, typed faults, typed [`Busy`](wire::Response::Busy)
+//!   backpressure), every body written with the byte codec the store
+//!   also uses ([`paq_relational::codec`]). Defined over generic
 //!   [`std::io::Read`] + [`std::io::Write`] streams, so the identical
 //!   code runs over loopback TCP and the deterministic in-memory pipe.
 //! * [`server`] — the **core**: a [`TcpListener`](std::net::TcpListener)
 //!   (or in-memory) acceptor feeding a fixed connection-handler pool
 //!   built on [`paq_exec::ThreadPool`], one cloned `PackageDb` session
 //!   per connection, per-request
-//!   [`ExecOptions`] config overrides, a bounded
-//!   in-flight queue that rejects with `Busy` instead of buffering
-//!   without bound, and graceful shutdown that drains in-flight
-//!   executions.
-//! * [`client`] — the **client library**: typed calls over any stream,
-//!   used by `examples/serve.rs` and the bench runner's end-to-end
-//!   latency measurement.
+//!   [`ExecOptions`] config overrides, one fairness-aware admission
+//!   queue every request passes through, a bounded in-flight count that
+//!   rejects with `Busy` instead of buffering without bound, and
+//!   graceful shutdown that drains in-flight executions.
+//! * [`client`], [`pipeline`], [`retry`] — the **client library**:
+//!   typed calls over any stream — blocking, pipelined, or retrying —
+//!   used by `examples/serve.rs` and the benchmarks.
 //! * [`transport`] — the in-memory duplex pipe + listener that lets the
 //!   whole stack run deterministically in tests, sockets not included.
 //!
@@ -85,4 +86,4 @@ pub use wire::{
     ExecOptions, Fault, FaultKind, RemoteExecution, Request, Response, RouteChoice, ShedClass,
     StatsReply, WireReport, WireRouterVerdict, WireTimings, MAX_FRAME, WIRE_VERSION,
 };
-pub use wire7::{Hello, HelloAck, CONTROL_TAG, WIRE_V7};
+pub use wire7::{Hello, HelloAck, CONTROL_TAG};

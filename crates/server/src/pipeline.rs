@@ -1,5 +1,5 @@
-//! The pipelined (protocol v7) client: many requests in flight on one
-//! connection, completions in whatever order the server finishes them.
+//! The pipelined client: many requests in flight on one connection,
+//! completions in whatever order the server finishes them.
 //!
 //! [`PipelinedClient`] opens with a [`Hello`] handshake, then each
 //! `submit_*` call writes one tagged request frame and returns a
@@ -24,8 +24,9 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! The blocking [`Client`](crate::client::Client) is unchanged and
-//! speaks the legacy protocol; use it when one-at-a-time is enough.
+//! The blocking [`Client`](crate::client::Client) speaks the same
+//! frames with one tag outstanding; use it when one-at-a-time is
+//! enough.
 
 use std::collections::HashMap;
 use std::marker::PhantomData;
@@ -34,16 +35,16 @@ use std::time::{Duration, Instant};
 use paq_obs::RegistrySnapshot;
 use paq_relational::{Table, Value};
 
-use crate::client::unexpected;
-use crate::error::{ClientError, ClientResult, WireError};
+use crate::client::{decode_ack, fault_of, unexpected};
+use crate::error::{ClientError, ClientResult};
 use crate::server::Connection;
 use crate::wire::{
     read_frame, read_frame_with, write_frame, ExecOptions, RemoteExecution, Request, Response,
-    ShedClass, StatsReply,
+    ShedClass, StatsReply, WIRE_VERSION,
 };
-use crate::wire7::{decode_response_v7, encode_request_v7, Hello, HelloAck, CONTROL_TAG, WIRE_V7};
+use crate::wire7::{decode_response_v7, encode_request_v7, Hello, CONTROL_TAG};
 
-/// Options for the v7 [`Hello`] handshake.
+/// Options for the [`Hello`] handshake.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HelloOptions {
     /// Admission class this connection's requests queue under.
@@ -53,6 +54,17 @@ pub struct HelloOptions {
     /// of one tenant's connections the same non-zero id to share one
     /// quota.
     pub client_id: u64,
+}
+
+impl HelloOptions {
+    /// The handshake opener declaring these options.
+    pub(crate) fn hello(self) -> Hello {
+        Hello {
+            max_version: WIRE_VERSION,
+            client_id: self.client_id,
+            class: self.class,
+        }
+    }
 }
 
 impl Default for HelloOptions {
@@ -151,7 +163,7 @@ impl Completion for () {
     }
 }
 
-/// A protocol-v7 pipelined client. See the [module docs](self).
+/// A pipelined client. See the [module docs](self).
 #[derive(Debug)]
 pub struct PipelinedClient<C: Connection> {
     conn: C,
@@ -166,44 +178,22 @@ pub struct PipelinedClient<C: Connection> {
 }
 
 impl<C: Connection> PipelinedClient<C> {
-    /// Open a v7 conversation on `conn` with default [`HelloOptions`].
+    /// Open a conversation on `conn` with default [`HelloOptions`].
     pub fn handshake(conn: C) -> ClientResult<Self> {
         Self::handshake_as(conn, HelloOptions::default())
     }
 
-    /// Open a v7 conversation declaring an admission class and client
-    /// identity. Fails with a typed [`WireError::Version`] when the
-    /// server negotiates below v7 (fall back to the blocking
-    /// [`Client`](crate::client::Client) on a fresh connection), and
-    /// surfaces a server-side handshake refusal (e.g. a connection that
-    /// cannot be split for pipelining) as the server's fault.
+    /// Open a conversation declaring an admission class and client
+    /// identity. A server-side refusal (accept-time `Busy`, a `Version`
+    /// fault, a connection that cannot be split for pipelining)
+    /// surfaces as the server's typed answer.
     pub fn handshake_as(mut conn: C, options: HelloOptions) -> ClientResult<Self> {
         conn.set_read_poll(None).map_err(ClientError::from)?;
-        Hello {
-            max_version: WIRE_V7,
-            client_id: options.client_id,
-            class: options.class,
-        }
-        .write_to(&mut conn)?;
-        let payload = match read_frame(&mut conn)? {
-            Some(payload) => payload,
+        options.hello().write_to(&mut conn)?;
+        let ack = match read_frame(&mut conn)? {
+            Some(payload) => decode_ack(&payload)?,
             None => return Err(ClientError::ConnectionClosed),
         };
-        let ack = match HelloAck::decode(&payload) {
-            Ok(ack) => ack,
-            // Not an ack: the server may have refused the handshake
-            // with a tagged fault — surface that instead of "malformed".
-            Err(e) => match decode_response_v7(&payload) {
-                Ok((_, response)) => return Err(Self::fault_of(response)),
-                Err(_) => return Err(e.into()),
-            },
-        };
-        if ack.version != WIRE_V7 {
-            return Err(ClientError::Wire(WireError::Version {
-                got: ack.version,
-                want: WIRE_V7,
-            }));
-        }
         Ok(PipelinedClient {
             conn,
             next_tag: 0,
@@ -276,7 +266,7 @@ impl<C: Connection> PipelinedClient<C> {
         Ok(Self::ticket(tag))
     }
 
-    /// Submit a table registration; the table travels in the v7
+    /// Submit a table registration; the table travels in the
     /// columnar encoding. The ticket completes with the catalog
     /// version.
     pub fn submit_register_table(
@@ -335,7 +325,7 @@ impl<C: Connection> PipelinedClient<C> {
         loop {
             if let Some(response) = self.ready.remove(&ticket.tag) {
                 return match response {
-                    Response::Busy { .. } | Response::Error(_) => Err(Self::fault_of(response)),
+                    Response::Busy { .. } | Response::Error(_) => Err(fault_of(response)),
                     other => T::from_response(other),
                 };
             }
@@ -357,30 +347,12 @@ impl<C: Connection> PipelinedClient<C> {
     fn file(&mut self, payload: &[u8]) -> ClientResult<()> {
         let (tag, response) = decode_response_v7(payload)?;
         if tag == CONTROL_TAG {
-            return Err(Self::fault_of(response));
+            return Err(fault_of(response));
         }
         self.completed.push(tag);
         self.completed_at.insert(tag, Instant::now());
         self.ready.insert(tag, response);
         Ok(())
-    }
-
-    fn fault_of(response: Response) -> ClientError {
-        match response {
-            Response::Busy {
-                in_flight,
-                max_in_flight,
-                retry_after_ms,
-                shed_class,
-            } => ClientError::Busy {
-                in_flight,
-                max_in_flight,
-                retry_after_ms,
-                shed_class,
-            },
-            Response::Error(fault) => ClientError::Server(fault),
-            other => unexpected("Busy/Error", &other),
-        }
     }
 
     /// Drain responses that have already arrived, without blocking for

@@ -223,24 +223,8 @@ impl<C: Read + Write, F: FnMut() -> std::io::Result<C>> RetryingClient<C, F> {
         self.execute_opts("", paql, ExecOptions::default())
     }
 
-    /// [`Client::execute_with`] with retries.
-    #[deprecated(
-        since = "0.1.0",
-        note = "build the request with `paq_server::api::RequestBuilder` and call \
-                `.send_retrying(&mut client)` instead"
-    )]
-    pub fn execute_with(
-        &mut self,
-        relation: &str,
-        paql: &str,
-        options: ExecOptions,
-    ) -> ClientResult<RemoteExecution> {
-        self.execute_opts(relation, paql, options)
-    }
-
-    /// Non-deprecated internal execute path shared by
-    /// [`RetryingClient::execute`], the deprecated free-form constructor
-    /// above, and [`RequestBuilder`](crate::api::RequestBuilder).
+    /// Execute path shared by [`RetryingClient::execute`] and
+    /// [`RequestBuilder`](crate::api::RequestBuilder).
     pub(crate) fn execute_opts(
         &mut self,
         relation: &str,

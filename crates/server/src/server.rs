@@ -11,7 +11,13 @@
 //!   PR 3 made sessions cheap `&self` handles onto the shared catalog,
 //!   so handlers never take a lock of the server's own. Per-request
 //!   [`ExecOptions`] apply to a fresh session clone, so one client's
-//!   tuning can never leak into another's.
+//!   tuning can never leak into another's. The handler only *reads*:
+//!   after the [`Hello`] handshake it decodes tagged request frames and
+//!   queues them in the one fair scheduler ([`AdmissionConfig`]); a
+//!   separate executor pool dequeues, executes and writes the tagged
+//!   responses. There is no second, inline path — a blocking
+//!   [`Client`](crate::client::Client) is a pipelined client with one
+//!   tag outstanding.
 //! * **Backpressure** is a bound on accepted-but-unfinished
 //!   connections: at the bound, a new connection is answered with a
 //!   typed [`Response::Busy`] and closed instead of queueing without
@@ -44,9 +50,9 @@ use crate::error::{WireError, WireResult};
 use crate::transport::{PipeEnd, PipeListener};
 use crate::wire::{
     read_frame_deadline, write_frame, ExecOptions, Fault, FaultKind, RemoteExecution, Request,
-    Response, ShedClass, StatsReply,
+    Response, ShedClass, StatsReply, WIRE_VERSION,
 };
-use crate::wire7::{self, encode_response_v7, Hello, HelloAck, CONTROL_TAG, WIRE_V7};
+use crate::wire7::{self, encode_response_v7, Hello, HelloAck, CONTROL_TAG};
 
 /// Server tuning.
 #[derive(Debug, Clone)]
@@ -77,7 +83,7 @@ pub struct ServerConfig {
     /// window or the handler answers with a [`FaultKind::Timeout`]
     /// fault and closes the connection — the slowloris guard, so a
     /// client that sends a few header bytes and stalls cannot pin a
-    /// handler forever. `None` disables the guard (legacy behavior).
+    /// handler forever. `None` disables the guard.
     pub frame_deadline: Option<Duration>,
     /// Pacing hint carried on [`Response::Busy`]: how long a rejected
     /// client should wait before reconnecting.
@@ -101,13 +107,13 @@ pub struct ServerConfig {
     /// workers forever. Resolution is
     /// [`ServerConfig::poll_interval`] ticks. `None` disables.
     pub idle_timeout: Option<Duration>,
-    /// Per-connection pipeline window for protocol-v7 connections: at
-    /// most this many of one connection's requests may be queued or
-    /// executing at once. Advertised to the client in the
+    /// Per-connection pipeline window: at most this many of one
+    /// connection's requests may be queued or executing at once.
+    /// Advertised to the client in the
     /// [`HelloAck`] handshake answer.
     pub pipeline_window: usize,
-    /// Fairness-aware admission control for pipelined (v7) requests;
-    /// see [`AdmissionConfig`].
+    /// Fairness-aware admission control, applied to every request; see
+    /// [`AdmissionConfig`].
     pub admission: AdmissionConfig,
 }
 
@@ -155,12 +161,12 @@ pub trait Connection: Read + Write + Send {
     fn set_read_poll(&mut self, timeout: Option<Duration>) -> io::Result<()>;
 
     /// A second handle onto the same stream for **writing** responses
-    /// while this handle keeps reading — the split the v7 pipelined
-    /// loop needs so executors complete responses out of order without
-    /// blocking the frame reader. Streams that cannot be split (e.g.
-    /// fault-injection wrappers) return `ErrorKind::Unsupported`; the
-    /// server then refuses the v7 handshake on that connection while
-    /// legacy request/response service stays unaffected.
+    /// while this handle keeps reading — the split the pipelined loop
+    /// needs so executors complete responses out of order without
+    /// blocking the frame reader. Both handles must observe the same
+    /// stream state (a close or an injected fault on one is seen by the
+    /// other). A stream that cannot be split returns an error and the
+    /// server refuses its handshake with a typed fault.
     fn try_clone_writer(&self) -> io::Result<Self>
     where
         Self: Sized;
@@ -314,7 +320,7 @@ struct ServerState {
     obs: Registry,
 }
 
-/// One admitted pipelined (v7) request, queued in the
+/// One admitted request, queued in the
 /// [`FairScheduler`] until an executor picks it up. Carries everything
 /// the executor needs to answer independently of the connection's
 /// reader: the client's tag, a shared writer handle, the
@@ -485,8 +491,8 @@ impl Server {
     /// listener closes), then drain in-flight handlers before
     /// returning. The acceptor runs on the calling thread; connection
     /// handlers (frame readers) run on the server's handler pool;
-    /// pipelined v7 requests execute on a separate executor pool fed by
-    /// the fairness-aware admission scheduler.
+    /// requests execute on a separate executor pool fed by the
+    /// fairness-aware admission scheduler.
     pub fn serve<A: Acceptor>(&self, mut acceptor: A) {
         let state = Arc::clone(&self.state);
         let sched: FairScheduler<Work<A::Conn>> = FairScheduler::new(self.config.admission.clone());
@@ -513,13 +519,14 @@ impl Server {
                             let in_flight = state.in_flight.load(Ordering::Acquire);
                             if in_flight >= self.config.max_in_flight {
                                 state.busy_rejections.fetch_add(1, Ordering::AcqRel);
-                                let _ = Response::Busy {
+                                let busy = Response::Busy {
                                     in_flight: in_flight as u64,
                                     max_in_flight: self.config.max_in_flight as u64,
                                     retry_after_ms: self.config.busy_retry_after.as_millis() as u64,
                                     shed_class: None,
-                                }
-                                .write_to(&mut conn);
+                                };
+                                let _ =
+                                    write_frame(&mut conn, &encode_response_v7(CONTROL_TAG, &busy));
                                 continue; // drop rejects the connection
                             }
                             state.in_flight.fetch_add(1, Ordering::AcqRel);
@@ -601,194 +608,99 @@ impl Server {
         result
     }
 
-    /// Drive one connection. The first frame decides the protocol: a v7
-    /// [`Hello`] enters the pipelined loop ([`Server::serve_v7`]); any
-    /// other payload is served over the legacy request/response protocol
-    /// byte-identically to PR 4–9 servers ([`Server::serve_legacy`]).
+    /// Read the next frame for a connection's reader, timing the wait
+    /// into `server.frame.read`. `Ok(None)` means the peer closed, or
+    /// shutdown or the idle timeout arrived. `Err` means the framing
+    /// broke — a stalled or unreadable frame leaves the stream unusable,
+    /// so the caller sends the fault (best effort) on [`CONTROL_TAG`]
+    /// and closes.
+    //
+    // The histogram covers the whole wait for a frame, so for all but a
+    // connection's first request it is dominated by client think-time —
+    // it exists to expose slow/stalling senders, not server work
+    // (that's `server.handle`).
+    fn next_frame<C: Connection>(&self, conn: &mut C) -> Result<Option<Vec<u8>>, Fault> {
+        let read_start = Instant::now();
+        match self.read_request_frame(conn) {
+            Ok(payload) => {
+                if payload.is_some() {
+                    self.state
+                        .obs
+                        .observe("server.frame.read", read_start.elapsed());
+                }
+                Ok(payload)
+            }
+            Err(WireError::DeadlineExpired { elapsed }) => {
+                self.state.frame_timeouts.fetch_add(1, Ordering::AcqRel);
+                Err(Fault {
+                    kind: FaultKind::Timeout,
+                    message: format!("request frame still incomplete after {elapsed:?}"),
+                })
+            }
+            Err(e) => Err(Fault {
+                kind: FaultKind::BadRequest,
+                message: format!("unreadable frame: {e}"),
+            }),
+        }
+    }
+
+    /// Drive one connection. The first frame must be a [`Hello`]
+    /// offering [`WIRE_VERSION`]; anything else is refused with one
+    /// typed [`FaultKind::Version`] fault and a close. After the
+    /// handshake this thread stays the connection's only *reader*: it
+    /// decodes tagged request frames and offers them to the admission
+    /// scheduler; executors complete them out of order, writing tagged
+    /// responses through a cloned writer handle. The per-connection
+    /// [`WindowGate`] bounds how many of this connection's requests are
+    /// queued or executing at once.
     fn handle_connection<C: Connection>(&self, mut conn: C, sched: &FairScheduler<Work<C>>) {
         if conn.set_read_poll(Some(self.config.poll_interval)).is_err() {
             return;
         }
         self.state.obs.incr("server.connections");
-        let read_start = Instant::now();
-        let payload = match self.read_request_frame(&mut conn) {
-            Ok(Some(payload)) => {
-                self.state
-                    .obs
-                    .observe("server.frame.read", read_start.elapsed());
-                payload
-            }
-            // Peer closed, shutdown, or idle timeout before any frame.
-            Ok(None) => return,
-            // First frame stalled or broke: report in the legacy framing
-            // (we cannot know the peer's protocol yet) and close.
-            Err(WireError::DeadlineExpired { elapsed }) => {
-                self.state.frame_timeouts.fetch_add(1, Ordering::AcqRel);
-                let _ = Response::Error(Fault {
-                    kind: FaultKind::Timeout,
-                    message: format!("request frame still incomplete after {elapsed:?}"),
-                })
-                .write_to(&mut conn);
-                return;
-            }
-            Err(e) => {
-                let _ = Response::Error(Fault {
-                    kind: FaultKind::BadRequest,
-                    message: format!("unreadable frame: {e}"),
-                })
-                .write_to(&mut conn);
-                return;
-            }
+        // Until the connection is split, faults go out on the bare
+        // stream (best effort), followed by the close.
+        let refuse = |conn: &mut C, kind: FaultKind, message: String| {
+            let frame = encode_response_v7(CONTROL_TAG, &Response::Error(Fault { kind, message }));
+            let _ = write_frame(conn, &frame);
         };
-        if wire7::is_v7_payload(&payload) {
-            self.serve_v7(conn, &payload, sched);
-        } else {
-            self.serve_legacy(conn, Some(payload));
-        }
-    }
-
-    /// The legacy (v5/v6) request/response loop: read a frame, dispatch,
-    /// respond, repeat — until the peer closes, the connection breaks,
-    /// or shutdown drains it. `first` is a frame the protocol sniffer
-    /// already read; responses are byte-identical to pre-v7 servers.
-    fn serve_legacy<C: Connection>(&self, mut conn: C, mut first: Option<Vec<u8>>) {
-        // One session per connection; its config is the base every
-        // request's overrides apply to.
-        let session = self.db.session();
-        loop {
-            // The read histogram covers the whole wait for a frame, so
-            // for all but the first request on a pipelined connection it
-            // is dominated by client think-time — it exists to expose
-            // slow/stalling senders, not server work (that's
-            // `server.handle`).
-            let read_start = Instant::now();
-            let next = match first.take() {
-                // The sniffer already read (and timed) this frame.
-                Some(payload) => Ok(Some(payload)),
-                None => self.read_request_frame(&mut conn).inspect(|payload| {
-                    if payload.is_some() {
-                        self.state
-                            .obs
-                            .observe("server.frame.read", read_start.elapsed());
-                    }
-                }),
-            };
-            let payload = match next {
-                Ok(Some(payload)) => payload,
-                // Peer closed, or shutdown while idle: drain complete.
-                Ok(None) => return,
-                // A started frame stalled past the deadline: free the
-                // handler with a typed timeout, then close (the stream
-                // is mid-frame, unusable for another request).
-                Err(WireError::DeadlineExpired { elapsed }) => {
-                    self.state.frame_timeouts.fetch_add(1, Ordering::AcqRel);
-                    let _ = Response::Error(Fault {
-                        kind: FaultKind::Timeout,
-                        message: format!("request frame still incomplete after {elapsed:?}"),
-                    })
-                    .write_to(&mut conn);
-                    return;
-                }
-                // Framing is broken (oversized/truncated/io): the
-                // stream cannot be trusted for another frame. Report if
-                // possible, then close.
-                Err(e) => {
-                    let _ = Response::Error(Fault {
-                        kind: FaultKind::BadRequest,
-                        message: format!("unreadable frame: {e}"),
-                    })
-                    .write_to(&mut conn);
-                    return;
-                }
-            };
-            let decode_start = Instant::now();
-            let request = match Request::decode(&payload) {
-                Ok(request) => {
-                    self.state
-                        .obs
-                        .observe("server.request.decode", decode_start.elapsed());
-                    request
-                }
-                // The frame was well-delimited but undecodable; the
-                // stream itself is still in sync, so answer and keep
-                // the connection.
-                Err(e) => {
-                    self.state.served.fetch_add(1, Ordering::AcqRel);
-                    let ok = Response::Error(Fault {
-                        kind: FaultKind::BadRequest,
-                        message: format!("undecodable request: {e}"),
-                    })
-                    .write_to(&mut conn)
-                    .is_ok();
-                    if ok {
-                        continue;
-                    }
-                    return;
-                }
-            };
-            let handle_start = Instant::now();
-            let response = self.dispatch(&session, request);
-            self.state.obs.incr("server.requests");
-            self.state
-                .obs
-                .observe("server.handle", handle_start.elapsed());
-            let shutting_down = matches!(response, Response::ShuttingDown);
-            self.state.served.fetch_add(1, Ordering::AcqRel);
-            let write_start = Instant::now();
-            let wrote = response.write_to(&mut conn);
-            self.state
-                .obs
-                .observe("server.response.write", write_start.elapsed());
-            if wrote.is_err() || shutting_down {
-                return;
-            }
-        }
-    }
-
-    /// The pipelined v7 loop. `hello_payload` is the already-read first
-    /// frame (a v7 [`Hello`]). This thread stays the connection's only
-    /// *reader*: it decodes tagged request frames and offers them to the
-    /// admission scheduler; executors complete them out of order,
-    /// writing tagged responses through a cloned writer handle. The
-    /// per-connection [`WindowGate`] bounds how many of this
-    /// connection's requests are queued or executing at once.
-    fn serve_v7<C: Connection>(
-        &self,
-        mut conn: C,
-        hello_payload: &[u8],
-        sched: &FairScheduler<Work<C>>,
-    ) {
-        let hello = match Hello::decode(hello_payload) {
-            Ok(hello) => hello,
-            Err(e) => {
-                self.write_v7_error(
+        let payload = match self.next_frame(&mut conn) {
+            Ok(Some(payload)) => payload,
+            Ok(None) => return,
+            Err(fault) => return refuse(&mut conn, fault.kind, fault.message),
+        };
+        let hello = match Hello::decode(&payload) {
+            Ok(hello) if hello.max_version >= WIRE_VERSION => hello,
+            Ok(hello) => {
+                let offered = hello.max_version;
+                return refuse(
                     &mut conn,
-                    CONTROL_TAG,
-                    FaultKind::BadRequest,
-                    format!("bad hello: {e}"),
+                    FaultKind::Version,
+                    format!("client offers protocol {offered}, this server speaks {WIRE_VERSION}"),
                 );
-                return;
+            }
+            Err(e) => {
+                return refuse(
+                    &mut conn,
+                    FaultKind::Version,
+                    format!("connection must open with a protocol-{WIRE_VERSION} Hello: {e}"),
+                );
             }
         };
         // Responses complete on executor threads while this thread keeps
-        // reading, so the connection must split into two handles. A
-        // stream that cannot be split refuses the handshake; the client
-        // falls back to the legacy protocol on a fresh connection.
+        // reading, so the connection must split into two handles.
         let writer = match conn.try_clone_writer() {
             Ok(writer) => Arc::new(Mutex::new(writer)),
             Err(e) => {
-                self.write_v7_error(
+                return refuse(
                     &mut conn,
-                    CONTROL_TAG,
                     FaultKind::Engine,
                     format!("connection cannot be split for pipelining: {e}"),
                 );
-                return;
             }
         };
-        let agreed = hello.max_version.min(WIRE_V7);
         let ack = HelloAck {
-            version: agreed,
+            version: WIRE_VERSION,
             window: self.config.pipeline_window.max(1) as u64,
         };
         {
@@ -798,12 +710,6 @@ impl Server {
             }
         }
         self.state.obs.incr(paq_obs::names::SERVER_HANDSHAKES);
-        if agreed < WIRE_V7 {
-            // Negotiated down: the rest of the connection speaks the
-            // legacy request/response protocol.
-            drop(writer);
-            return self.serve_legacy(conn, None);
-        }
         // Client identity for per-client quotas: self-declared (so a
         // client's connections share one quota), or a synthetic id
         // counting down from the top so it cannot collide with declared
@@ -815,38 +721,17 @@ impl Server {
         };
         let class = hello.class;
         let gate = Arc::new(WindowGate::new(self.config.pipeline_window));
+        // One session per connection; its config is the base every
+        // request's overrides apply to.
         let session = self.db.session();
         loop {
-            let read_start = Instant::now();
-            let payload = match self.read_request_frame(&mut conn) {
-                Ok(Some(payload)) => {
-                    self.state
-                        .obs
-                        .observe("server.frame.read", read_start.elapsed());
-                    payload
-                }
-                // Peer closed, shutdown, or idle timeout: stop reading.
-                // Work already admitted still completes — executors hold
-                // their own writer handles.
+            let payload = match self.next_frame(&mut conn) {
+                Ok(Some(payload)) => payload,
+                // Stop reading. Work already admitted still completes —
+                // executors hold their own writer handles.
                 Ok(None) => return,
-                Err(WireError::DeadlineExpired { elapsed }) => {
-                    self.state.frame_timeouts.fetch_add(1, Ordering::AcqRel);
-                    self.write_v7_fault(
-                        &writer,
-                        CONTROL_TAG,
-                        FaultKind::Timeout,
-                        format!("request frame still incomplete after {elapsed:?}"),
-                    );
-                    return;
-                }
-                Err(e) => {
-                    self.write_v7_fault(
-                        &writer,
-                        CONTROL_TAG,
-                        FaultKind::BadRequest,
-                        format!("unreadable frame: {e}"),
-                    );
-                    return;
+                Err(fault) => {
+                    return self.write_fault(&writer, CONTROL_TAG, fault.kind, fault.message)
                 }
             };
             let decode_start = Instant::now();
@@ -863,7 +748,7 @@ impl Server {
                 Err(e) => {
                     let tag = wire7::request_frame_tag(&payload).unwrap_or(CONTROL_TAG);
                     self.state.served.fetch_add(1, Ordering::AcqRel);
-                    self.write_v7_fault(
+                    self.write_fault(
                         &writer,
                         tag,
                         FaultKind::BadRequest,
@@ -930,20 +815,8 @@ impl Server {
         work.gate.release();
     }
 
-    /// Best-effort v7 fault on a bare (unsplit) connection.
-    fn write_v7_error<C: Connection>(
-        &self,
-        conn: &mut C,
-        tag: u32,
-        kind: FaultKind,
-        message: String,
-    ) {
-        let frame = encode_response_v7(tag, &Response::Error(Fault { kind, message }));
-        let _ = write_frame(conn, &frame);
-    }
-
-    /// Best-effort v7 fault through a shared writer handle.
-    fn write_v7_fault<C: Connection>(
+    /// Best-effort fault through a connection's shared writer handle.
+    fn write_fault<C: Connection>(
         &self,
         writer: &Arc<Mutex<C>>,
         tag: u32,

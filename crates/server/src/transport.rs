@@ -107,7 +107,7 @@ impl PipeEnd {
     /// A second handle onto the same end, mirroring
     /// `TcpStream::try_clone`: both handles read from and write to the
     /// same buffers, and the connection closes only when the last
-    /// handle drops. The v7 server uses this to split a connection into
+    /// handle drops. The server uses this to split a connection into
     /// a reader (the connection handler) and a writer (executors
     /// completing responses out of order).
     pub fn try_clone(&self) -> PipeEnd {

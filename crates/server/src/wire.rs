@@ -1,34 +1,29 @@
-//! The wire protocol: length-prefixed frames with a hand-rolled binary
-//! encoding, defined over generic [`io::Read`] / [`io::Write`] streams.
+//! The wire protocol's transport and vocabulary: length-prefixed
+//! frames over generic [`io::Read`] / [`io::Write`] streams, and the
+//! typed [`Request`] / [`Response`] messages with their body encodings.
+//! The frames those bodies travel in — handshake, tags — are
+//! [`crate::wire7`].
 //!
-//! # Frame layout
+//! # Transport
 //!
 //! ```text
-//! +----------------+---------+-----+------------------+
-//! | length: u32 BE | version | tag | body (tag-typed) |
-//! +----------------+---------+-----+------------------+
-//!        4 bytes      1 byte  1 byte   length − 2 bytes
+//! +----------------+----------------------------+
+//! | length: u32 BE | payload (one wire7 frame)  |
+//! +----------------+----------------------------+
 //! ```
 //!
-//! * The length prefix counts the payload (version + tag + body), not
-//!   itself. Frames above [`MAX_FRAME`] are rejected *before* the
-//!   payload is read, so a broken or hostile peer cannot make the
-//!   server buffer without bound.
-//! * `version` is [`WIRE_VERSION`]; a mismatch is a decode error (the
-//!   protocol carries no negotiation — both ends come from this
-//!   workspace).
-//! * `tag` selects the [`Request`] or [`Response`] variant; the decoder
-//!   rejects unknown tags and trailing bytes, so a frame decodes to
-//!   exactly one value or a typed [`WireError`].
+//! The length prefix counts the payload, not itself. Frames above
+//! [`MAX_FRAME`] are rejected *before* the payload is read, so a broken
+//! or hostile peer cannot make the server buffer without bound.
 //!
-//! # Primitive encodings
+//! # Bodies
 //!
-//! Everything reduces to five primitives: `u8`, `u64` (little-endian,
-//! fixed 8 bytes), `f64` (IEEE bit pattern, little-endian — NaN and
-//! signed zero round-trip exactly), `bool` (one byte, `0`/`1` only),
-//! and UTF-8 strings (`u64` byte length + bytes). Options are a `bool`
-//! presence flag followed by the value; sequences are a `u64` count
-//! followed by the elements. There is no padding and no alignment.
+//! Every body is written with the primitives of
+//! [`paq_relational::codec`] — the byte codec the WAL and snapshots use
+//! too: fixed-width little-endian integers, IEEE bit patterns, `0`/`1`
+//! booleans, `u64`-counted strings and sequences, tables in crc-guarded
+//! column chunks. Decoders reject unknown tags and trailing bytes, so a
+//! payload decodes to exactly one value or a typed [`WireError`].
 //!
 //! The same encoding runs over any byte stream — the deterministic
 //! in-memory [duplex pipe](crate::transport) in tests, loopback TCP in
@@ -42,32 +37,19 @@ use paq_db::{
     CacheStats, DurabilityStats, Execution, RouterStats, RouterVerdict, Strategy, TableStats,
 };
 use paq_obs::{HistogramSnapshot, RegistrySnapshot};
-use paq_relational::{ColumnDef, DataType, Schema, Table, Value};
+use paq_relational::codec::{
+    decode_table, encode_table, get_opt_u64, get_u64_column, get_values, put_bool, put_duration,
+    put_f64, put_opt_u64, put_string, put_u64, put_u64_column, put_values, Cursor,
+};
+use paq_relational::{Table, Value};
 
 use crate::error::{WireError, WireResult};
 
-/// Protocol revision spoken by this build. Bumped to 2 when the
-/// cost-based router landed: `ExecOptions` gained `router_enabled`,
-/// `Executed` gained the router verdict (decision source + predicted
-/// per-strategy costs), and `Stats` gained the shared router counters.
-/// Bumped to 3 when durable storage landed: `Stats` gained the optional
-/// durability counters (WAL/snapshot/recovery) and [`FaultKind`] gained
-/// `Storage` for WAL-append and snapshot failures.
-/// Bumped to 4 for the robustness layer: `ExecOptions` gained
-/// `deadline_ms` (per-request budget propagated into the REFINE solve
-/// budget), `RegisterTable`/`AppendRow` gained an optional idempotency
-/// `token` (the server dedupes acked tokens so a retry after a lost ack
-/// is safe), `Busy` gained a `retry_after_ms` pacing hint, and
-/// [`FaultKind`] gained `Timeout` for expired deadlines.
-/// Bumped to 5 when acked idempotency tokens became durable: the
-/// `Stats` durability counters gained `recovered_acks` (tokens restored
-/// from the store at open).
-/// Bumped to 6 when the observability layer landed: a new
-/// [`Request::Metrics`] returns [`Response::Metrics`] — the full
-/// server-side metrics registry snapshot (counters, gauges, and
-/// latency histograms with their log2 buckets, so clients recompute
-/// p50/p90/p99 or merge snapshots across servers).
-pub const WIRE_VERSION: u8 = 6;
+/// The protocol revision this build speaks — the only one. Every
+/// payload opens with this byte; a peer that opens with anything else
+/// (or a [`Hello`](crate::wire7::Hello) offering less) is answered with
+/// one typed [`FaultKind::Version`] fault and a close.
+pub const WIRE_VERSION: u8 = 7;
 
 /// Hard cap on one frame's payload (32 MiB). Large enough for a
 /// multi-million-row `RegisterTable`, small enough that a corrupt
@@ -131,7 +113,7 @@ pub fn read_frame_with<R: Read>(
 /// The deadline is only enforceable when the stream has a read timeout
 /// configured (each timeout tick is a checkpoint); on a blocking stream
 /// with no timeout a silent peer still blocks the read. `None` keeps
-/// the legacy never-abandon behavior.
+/// the never-abandon behavior.
 pub fn read_frame_deadline<R: Read>(
     r: &mut R,
     mut on_idle: impl FnMut() -> bool,
@@ -205,258 +187,6 @@ fn read_full_deadline<R: Read>(
 }
 
 // ---------------------------------------------------------------------
-// Primitive encode/decode
-// ---------------------------------------------------------------------
-
-/// Byte-slice decoding cursor. Every read is bounds-checked; requesting
-/// more bytes than remain is a [`WireError::Malformed`] (the frame was
-/// fully read off the stream already, so a short payload is corruption,
-/// not a slow peer).
-pub(crate) struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
-        Cursor { buf, pos: 0 }
-    }
-
-    pub(crate) fn take(&mut self, n: usize) -> WireResult<&'a [u8]> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.buf.len());
-        match end {
-            Some(end) => {
-                let slice = &self.buf[self.pos..end];
-                self.pos = end;
-                Ok(slice)
-            }
-            None => Err(WireError::Malformed(format!(
-                "payload needs {n} more bytes at offset {} of {}",
-                self.pos,
-                self.buf.len()
-            ))),
-        }
-    }
-
-    pub(crate) fn u8(&mut self) -> WireResult<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn bool(&mut self) -> WireResult<bool> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(WireError::Malformed(format!("bool byte {other}"))),
-        }
-    }
-
-    pub(crate) fn u64(&mut self) -> WireResult<u64> {
-        let bytes = self.take(8)?;
-        Ok(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
-    }
-
-    pub(crate) fn usize(&mut self) -> WireResult<usize> {
-        let v = self.u64()?;
-        usize::try_from(v).map_err(|_| WireError::Malformed(format!("count {v} overflows usize")))
-    }
-
-    /// A sequence count, sanity-bounded so a corrupt count cannot
-    /// trigger a huge up-front allocation: `min_elem` is the smallest
-    /// possible encoding of one element, so more elements than
-    /// remaining bytes / `min_elem` cannot decode anyway.
-    pub(crate) fn count(&mut self, min_elem: usize) -> WireResult<usize> {
-        let n = self.usize()?;
-        let cap = self.buf.len() - self.pos;
-        if n.saturating_mul(min_elem.max(1)) > cap {
-            return Err(WireError::Malformed(format!(
-                "count {n} exceeds the {cap} bytes remaining"
-            )));
-        }
-        Ok(n)
-    }
-
-    pub(crate) fn f64(&mut self) -> WireResult<f64> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    pub(crate) fn i64(&mut self) -> WireResult<i64> {
-        Ok(self.u64()? as i64)
-    }
-
-    pub(crate) fn string(&mut self) -> WireResult<String> {
-        let len = self.count(1)?;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|e| WireError::Malformed(format!("invalid utf-8 string: {e}")))
-    }
-
-    pub(crate) fn finish(self) -> WireResult<()> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(WireError::Malformed(format!(
-                "{} trailing bytes after the decoded value",
-                self.buf.len() - self.pos
-            )))
-        }
-    }
-}
-
-pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_bool(out: &mut Vec<u8>, v: bool) {
-    out.push(v as u8);
-}
-
-pub(crate) fn put_f64(out: &mut Vec<u8>, v: f64) {
-    put_u64(out, v.to_bits());
-}
-
-pub(crate) fn put_string(out: &mut Vec<u8>, s: &str) {
-    put_u64(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-pub(crate) fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
-    match v {
-        Some(v) => {
-            put_bool(out, true);
-            put_u64(out, v);
-        }
-        None => put_bool(out, false),
-    }
-}
-
-pub(crate) fn get_opt_u64(c: &mut Cursor<'_>) -> WireResult<Option<u64>> {
-    Ok(if c.bool()? { Some(c.u64()?) } else { None })
-}
-
-pub(crate) fn put_duration(out: &mut Vec<u8>, d: Duration) {
-    put_u64(out, u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
-}
-
-pub(crate) fn get_duration(c: &mut Cursor<'_>) -> WireResult<Duration> {
-    Ok(Duration::from_nanos(c.u64()?))
-}
-
-// ---------------------------------------------------------------------
-// Relational encodings
-// ---------------------------------------------------------------------
-
-pub(crate) fn put_value(out: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Null => out.push(0),
-        Value::Bool(b) => {
-            out.push(1);
-            put_bool(out, *b);
-        }
-        Value::Int(i) => {
-            out.push(2);
-            put_u64(out, *i as u64);
-        }
-        Value::Float(f) => {
-            out.push(3);
-            put_f64(out, *f);
-        }
-        Value::Str(s) => {
-            out.push(4);
-            put_string(out, s);
-        }
-    }
-}
-
-pub(crate) fn get_value(c: &mut Cursor<'_>) -> WireResult<Value> {
-    Ok(match c.u8()? {
-        0 => Value::Null,
-        1 => Value::Bool(c.bool()?),
-        2 => Value::Int(c.i64()?),
-        3 => Value::Float(c.f64()?),
-        4 => Value::Str(c.string()?),
-        tag => return Err(WireError::Malformed(format!("value tag {tag}"))),
-    })
-}
-
-pub(crate) fn put_data_type(out: &mut Vec<u8>, ty: DataType) {
-    out.push(match ty {
-        DataType::Int => 0,
-        DataType::Float => 1,
-        DataType::Bool => 2,
-        DataType::Str => 3,
-    });
-}
-
-pub(crate) fn get_data_type(c: &mut Cursor<'_>) -> WireResult<DataType> {
-    Ok(match c.u8()? {
-        0 => DataType::Int,
-        1 => DataType::Float,
-        2 => DataType::Bool,
-        3 => DataType::Str,
-        tag => return Err(WireError::Malformed(format!("data-type tag {tag}"))),
-    })
-}
-
-pub(crate) fn put_schema(out: &mut Vec<u8>, schema: &Schema) {
-    put_u64(out, schema.arity() as u64);
-    for col in schema.columns() {
-        put_string(out, &col.name);
-        put_data_type(out, col.ty);
-    }
-}
-
-pub(crate) fn get_schema(c: &mut Cursor<'_>) -> WireResult<Schema> {
-    let arity = c.count(9)?; // string length prefix + type tag
-    let mut cols = Vec::with_capacity(arity);
-    for _ in 0..arity {
-        let name = c.string()?;
-        let ty = get_data_type(c)?;
-        if cols.iter().any(|d: &ColumnDef| d.name == name) {
-            return Err(WireError::Malformed(format!("duplicate column {name:?}")));
-        }
-        cols.push(ColumnDef::new(name, ty));
-    }
-    Ok(Schema::new(cols))
-}
-
-pub(crate) fn put_table(out: &mut Vec<u8>, table: &Table) {
-    put_schema(out, table.schema());
-    put_u64(out, table.num_rows() as u64);
-    for i in 0..table.num_rows() {
-        for v in table.row(i) {
-            put_value(out, &v);
-        }
-    }
-}
-
-pub(crate) fn get_table(c: &mut Cursor<'_>) -> WireResult<Table> {
-    let schema = get_schema(c)?;
-    let rows = c.count(schema.arity())?;
-    let mut table = Table::new(schema);
-    for _ in 0..rows {
-        let row = (0..table.schema().arity())
-            .map(|_| get_value(c))
-            .collect::<WireResult<Vec<_>>>()?;
-        table
-            .push_row(row)
-            .map_err(|e| WireError::Malformed(format!("row rejected by schema: {e}")))?;
-    }
-    Ok(table)
-}
-
-pub(crate) fn put_values(out: &mut Vec<u8>, row: &[Value]) {
-    put_u64(out, row.len() as u64);
-    for v in row {
-        put_value(out, v);
-    }
-}
-
-pub(crate) fn get_values(c: &mut Cursor<'_>) -> WireResult<Vec<Value>> {
-    let n = c.count(1)?;
-    (0..n).map(|_| get_value(c)).collect()
-}
-
-// ---------------------------------------------------------------------
 // Requests
 // ---------------------------------------------------------------------
 
@@ -512,7 +242,7 @@ impl From<RouteChoice> for paq_db::Route {
     }
 }
 
-pub(crate) fn put_options(out: &mut Vec<u8>, o: &ExecOptions) {
+fn put_options(out: &mut Vec<u8>, o: &ExecOptions) {
     out.push(match o.route {
         RouteChoice::Auto => 0,
         RouteChoice::ForceDirect => 1,
@@ -526,21 +256,18 @@ pub(crate) fn put_options(out: &mut Vec<u8>, o: &ExecOptions) {
     put_opt_u64(out, o.deadline_ms);
 }
 
-pub(crate) fn put_opt_bool(out: &mut Vec<u8>, v: Option<bool>) {
-    match v {
-        Some(v) => {
-            put_bool(out, true);
-            put_bool(out, v);
-        }
-        None => put_bool(out, false),
+fn put_opt_bool(out: &mut Vec<u8>, v: Option<bool>) {
+    put_bool(out, v.is_some());
+    if let Some(v) = v {
+        put_bool(out, v);
     }
 }
 
-pub(crate) fn get_opt_bool(c: &mut Cursor<'_>) -> WireResult<Option<bool>> {
+fn get_opt_bool(c: &mut Cursor<'_>) -> WireResult<Option<bool>> {
     Ok(if c.bool()? { Some(c.bool()?) } else { None })
 }
 
-pub(crate) fn get_options(c: &mut Cursor<'_>) -> WireResult<ExecOptions> {
+fn get_options(c: &mut Cursor<'_>) -> WireResult<ExecOptions> {
     let route = match c.u8()? {
         0 => RouteChoice::Auto,
         1 => RouteChoice::ForceDirect,
@@ -576,7 +303,8 @@ pub enum Request {
     RegisterTable {
         /// Table name.
         name: String,
-        /// Full table contents.
+        /// Full table contents; travels in the chunked columnar
+        /// encoding of [`paq_relational::codec`].
         table: Table,
         /// Optional client-chosen idempotency token. The server
         /// remembers acked tokens and answers a repeat with the
@@ -613,10 +341,7 @@ pub enum Request {
     Metrics,
 }
 
-/// Encode a request's kind byte + body with the **row-major** (v6)
-/// table codec. Shared verbatim by the legacy framing and — with the
-/// `RegisterTable` arm swapped for the columnar codec — by the v7
-/// framing in [`crate::wire7`].
+/// Encode a request's kind byte + body.
 pub(crate) fn put_request_body(out: &mut Vec<u8>, request: &Request) {
     match request {
         Request::Execute {
@@ -632,7 +357,7 @@ pub(crate) fn put_request_body(out: &mut Vec<u8>, request: &Request) {
         Request::RegisterTable { name, table, token } => {
             out.push(1);
             put_string(out, name);
-            put_table(out, table);
+            encode_table(out, table);
             put_opt_u64(out, *token);
         }
         Request::AppendRow { name, row, token } => {
@@ -657,10 +382,10 @@ pub(crate) fn put_request_body(out: &mut Vec<u8>, request: &Request) {
     }
 }
 
-/// Decode a request body given its already-consumed kind byte
-/// (counterpart of [`put_request_body`]).
-pub(crate) fn decode_request_body(c: &mut Cursor<'_>, kind: u8) -> WireResult<Request> {
-    Ok(match kind {
+/// Decode a request's kind byte + body (counterpart of
+/// [`put_request_body`]).
+pub(crate) fn get_request_body(c: &mut Cursor<'_>) -> WireResult<Request> {
+    Ok(match c.u8()? {
         0 => Request::Execute {
             relation: c.string()?,
             paql: c.string()?,
@@ -668,7 +393,7 @@ pub(crate) fn decode_request_body(c: &mut Cursor<'_>, kind: u8) -> WireResult<Re
         },
         1 => Request::RegisterTable {
             name: c.string()?,
-            table: get_table(c)?,
+            table: decode_table(c)?,
             token: get_opt_u64(c)?,
         },
         2 => Request::AppendRow {
@@ -686,49 +411,6 @@ pub(crate) fn decode_request_body(c: &mut Cursor<'_>, kind: u8) -> WireResult<Re
         6 => Request::Metrics,
         tag => return Err(WireError::Malformed(format!("request tag {tag}"))),
     })
-}
-
-impl Request {
-    /// Encode into a standalone payload (version + tag + body).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = vec![WIRE_VERSION];
-        put_request_body(&mut out, self);
-        out
-    }
-
-    /// Decode a payload produced by [`Request::encode`].
-    pub fn decode(payload: &[u8]) -> WireResult<Request> {
-        let mut c = Cursor::new(payload);
-        check_version(&mut c)?;
-        let kind = c.u8()?;
-        let req = decode_request_body(&mut c, kind)?;
-        c.finish()?;
-        Ok(req)
-    }
-
-    /// Write this request as one frame.
-    pub fn write_to<W: Write>(&self, w: &mut W) -> WireResult<()> {
-        write_frame(w, &self.encode())
-    }
-
-    /// Read one request frame; `Ok(None)` when the peer closed cleanly.
-    pub fn read_from<R: Read>(r: &mut R) -> WireResult<Option<Request>> {
-        match read_frame(r)? {
-            Some(payload) => Ok(Some(Request::decode(&payload)?)),
-            None => Ok(None),
-        }
-    }
-}
-
-fn check_version(c: &mut Cursor<'_>) -> WireResult<()> {
-    let got = c.u8()?;
-    if got != WIRE_VERSION {
-        return Err(WireError::Version {
-            got,
-            want: WIRE_VERSION,
-        });
-    }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -834,7 +516,7 @@ impl From<&RouterVerdict> for WireRouterVerdict {
     }
 }
 
-pub(crate) fn put_router_verdict(out: &mut Vec<u8>, v: &WireRouterVerdict) {
+fn put_router_verdict(out: &mut Vec<u8>, v: &WireRouterVerdict) {
     match v {
         WireRouterVerdict::Pinned => out.push(0),
         WireRouterVerdict::Model {
@@ -860,7 +542,7 @@ pub(crate) fn put_router_verdict(out: &mut Vec<u8>, v: &WireRouterVerdict) {
     }
 }
 
-pub(crate) fn get_router_verdict(c: &mut Cursor<'_>) -> WireResult<WireRouterVerdict> {
+fn get_router_verdict(c: &mut Cursor<'_>) -> WireResult<WireRouterVerdict> {
     Ok(match c.u8()? {
         0 => WireRouterVerdict::Pinned,
         1 => WireRouterVerdict::Model {
@@ -988,6 +670,11 @@ pub enum FaultKind {
     /// arrival, or a started frame stalled past the server's
     /// started-frame read deadline. The work was not performed.
     Timeout,
+    /// The connection did not open with a [`Hello`](crate::wire7::Hello)
+    /// offering protocol [`WIRE_VERSION`]. Sent once on
+    /// [`CONTROL_TAG`](crate::wire7::CONTROL_TAG); the server then
+    /// closes the connection.
+    Version,
 }
 
 /// An application-level error reported by the server.
@@ -1031,7 +718,7 @@ impl From<&paq_db::DbError> for Fault {
     }
 }
 
-pub(crate) fn put_fault(out: &mut Vec<u8>, fault: &Fault) {
+fn put_fault(out: &mut Vec<u8>, fault: &Fault) {
     out.push(match fault.kind {
         FaultKind::BadRequest => 0,
         FaultKind::UnknownTable => 1,
@@ -1044,11 +731,12 @@ pub(crate) fn put_fault(out: &mut Vec<u8>, fault: &Fault) {
         FaultKind::Relational => 8,
         FaultKind::Storage => 9,
         FaultKind::Timeout => 10,
+        FaultKind::Version => 11,
     });
     put_string(out, &fault.message);
 }
 
-pub(crate) fn get_fault(c: &mut Cursor<'_>) -> WireResult<Fault> {
+fn get_fault(c: &mut Cursor<'_>) -> WireResult<Fault> {
     let kind = match c.u8()? {
         0 => FaultKind::BadRequest,
         1 => FaultKind::UnknownTable,
@@ -1061,6 +749,7 @@ pub(crate) fn get_fault(c: &mut Cursor<'_>) -> WireResult<Fault> {
         8 => FaultKind::Relational,
         9 => FaultKind::Storage,
         10 => FaultKind::Timeout,
+        11 => FaultKind::Version,
         tag => return Err(WireError::Malformed(format!("fault tag {tag}"))),
     };
     Ok(Fault {
@@ -1069,7 +758,7 @@ pub(crate) fn get_fault(c: &mut Cursor<'_>) -> WireResult<Fault> {
     })
 }
 
-pub(crate) fn put_registry_snapshot(out: &mut Vec<u8>, s: &RegistrySnapshot) {
+fn put_registry_snapshot(out: &mut Vec<u8>, s: &RegistrySnapshot) {
     put_u64(out, s.counters.len() as u64);
     for (name, value) in &s.counters {
         put_string(out, name);
@@ -1095,7 +784,7 @@ pub(crate) fn put_registry_snapshot(out: &mut Vec<u8>, s: &RegistrySnapshot) {
     }
 }
 
-pub(crate) fn get_registry_snapshot(c: &mut Cursor<'_>) -> WireResult<RegistrySnapshot> {
+fn get_registry_snapshot(c: &mut Cursor<'_>) -> WireResult<RegistrySnapshot> {
     let mut s = RegistrySnapshot::default();
     let counters = c.count(9)?;
     for _ in 0..counters {
@@ -1147,7 +836,7 @@ pub struct StatsReply {
     pub durability: Option<DurabilityStats>,
 }
 
-/// The scheduling class a v7 client declares in its
+/// The scheduling class a client declares in its
 /// [handshake](crate::wire7::Hello), and the class a request-level
 /// [`Response::Busy`] names as the one it shed. Order encodes
 /// priority: `Interactive` is served first and shed last.
@@ -1229,9 +918,8 @@ pub enum Response {
         /// exponential backoff schedule.
         retry_after_ms: u64,
         /// Which admission class was shed, when the rejection came from
-        /// the v7 request-level fairness admission (`None` for the
-        /// connection-level bound, and always `None` on legacy frames —
-        /// the v6 codec does not carry this field).
+        /// the request-level fairness admission (`None` for the
+        /// connection-level bound).
         shed_class: Option<ShedClass>,
     },
     /// Result of a [`Request::Metrics`]: the server's registry
@@ -1242,10 +930,13 @@ pub enum Response {
     Error(Fault),
 }
 
-/// Encode everything of an `Executed` body *after* the member pairs —
-/// the part shared byte-for-byte between the row-major pair list of the
-/// legacy codec and the width-packed pair columns of the v7 codec.
-pub(crate) fn put_execution_after_pairs(out: &mut Vec<u8>, exec: &RemoteExecution) {
+/// Encode an `Executed` body. The member pairs travel as two
+/// width-packed u64 columns (rows, multiplicities).
+fn put_execution(out: &mut Vec<u8>, exec: &RemoteExecution) {
+    let rows: Vec<u64> = exec.pairs.iter().map(|&(r, _)| r).collect();
+    let mults: Vec<u64> = exec.pairs.iter().map(|&(_, m)| m).collect();
+    put_u64_column(out, &rows);
+    put_u64_column(out, &mults);
     put_string(out, &exec.relation);
     put_u64(out, exec.rows);
     put_u64(out, exec.table_version);
@@ -1277,13 +968,19 @@ pub(crate) fn put_execution_after_pairs(out: &mut Vec<u8>, exec: &RemoteExecutio
     put_duration(out, exec.timings.total);
 }
 
-/// Decode the shared tail of an `Executed` body, combining it with
-/// already-decoded member pairs (counterpart of
-/// [`put_execution_after_pairs`]).
-pub(crate) fn get_execution_after_pairs(
-    c: &mut Cursor<'_>,
-    pairs: Vec<(u64, u64)>,
-) -> WireResult<RemoteExecution> {
+/// Decode an `Executed` body (counterpart of [`put_execution`]).
+fn get_execution(c: &mut Cursor<'_>) -> WireResult<RemoteExecution> {
+    // No column can hold more elements than a maximal frame has bytes.
+    let rows = get_u64_column(c, MAX_FRAME)?;
+    let mults = get_u64_column(c, MAX_FRAME)?;
+    if rows.len() != mults.len() {
+        return Err(WireError::Malformed(format!(
+            "pair columns disagree: {} rows vs {} multiplicities",
+            rows.len(),
+            mults.len()
+        )));
+    }
+    let pairs = rows.into_iter().zip(mults).collect();
     let relation = c.string()?;
     let rows = c.u64()?;
     let table_version = c.u64()?;
@@ -1303,17 +1000,17 @@ pub(crate) fn get_execution_after_pairs(
             waves: c.u64()?,
             parallel_solves: c.u64()?,
             conflict_requeues: c.u64()?,
-            sketch_time: get_duration(c)?,
-            refine_time: get_duration(c)?,
+            sketch_time: c.duration()?,
+            refine_time: c.duration()?,
         })
     } else {
         None
     };
     let timings = WireTimings {
-        plan: get_duration(c)?,
-        partitioning: get_duration(c)?,
-        evaluate: get_duration(c)?,
-        total: get_duration(c)?,
+        plan: c.duration()?,
+        partitioning: c.duration()?,
+        evaluate: c.duration()?,
+        total: c.duration()?,
     };
     Ok(RemoteExecution {
         pairs,
@@ -1329,8 +1026,8 @@ pub(crate) fn get_execution_after_pairs(
     })
 }
 
-/// Encode a `Stats` body (shared verbatim by the legacy and v7 codecs).
-pub(crate) fn put_stats_body(out: &mut Vec<u8>, stats: &StatsReply) {
+/// Encode a `Stats` body.
+fn put_stats_body(out: &mut Vec<u8>, stats: &StatsReply) {
     put_u64(out, stats.tables.len() as u64);
     for t in &stats.tables {
         put_string(out, &t.name);
@@ -1368,7 +1065,7 @@ pub(crate) fn put_stats_body(out: &mut Vec<u8>, stats: &StatsReply) {
 }
 
 /// Decode a `Stats` body (counterpart of [`put_stats_body`]).
-pub(crate) fn get_stats_body(c: &mut Cursor<'_>) -> WireResult<StatsReply> {
+fn get_stats_body(c: &mut Cursor<'_>) -> WireResult<StatsReply> {
     let n = c.count(24)?;
     let mut tables = Vec::with_capacity(n);
     for _ in 0..n {
@@ -1418,107 +1115,80 @@ pub(crate) fn get_stats_body(c: &mut Cursor<'_>) -> WireResult<StatsReply> {
     })
 }
 
-impl Response {
-    /// Encode into a standalone payload (version + tag + body).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = vec![WIRE_VERSION];
-        match self {
-            Response::Executed(exec) => {
-                out.push(0);
-                put_u64(&mut out, exec.pairs.len() as u64);
-                for &(row, mult) in &exec.pairs {
-                    put_u64(&mut out, row);
-                    put_u64(&mut out, mult);
-                }
-                put_execution_after_pairs(&mut out, exec);
-            }
-            Response::Registered { version } => {
-                out.push(1);
-                put_u64(&mut out, *version);
-            }
-            Response::Appended { version } => {
-                out.push(2);
-                put_u64(&mut out, *version);
-            }
-            Response::Explained { text } => {
-                out.push(3);
-                put_string(&mut out, text);
-            }
-            Response::Stats(stats) => {
-                out.push(4);
-                put_stats_body(&mut out, stats);
-            }
-            Response::ShuttingDown => out.push(5),
-            // The legacy codec does not carry `shed_class` — v6 peers
-            // decode these bytes unchanged; the class travels only in
-            // v7 frames.
-            Response::Busy {
-                in_flight,
-                max_in_flight,
-                retry_after_ms,
-                shed_class: _,
-            } => {
-                out.push(6);
-                put_u64(&mut out, *in_flight);
-                put_u64(&mut out, *max_in_flight);
-                put_u64(&mut out, *retry_after_ms);
-            }
-            Response::Error(fault) => {
-                out.push(7);
-                put_fault(&mut out, fault);
-            }
-            Response::Metrics(snapshot) => {
-                out.push(8);
-                put_registry_snapshot(&mut out, snapshot);
+/// Encode a response's kind byte + body.
+pub(crate) fn put_response_body(out: &mut Vec<u8>, response: &Response) {
+    match response {
+        Response::Executed(exec) => {
+            out.push(0);
+            put_execution(out, exec);
+        }
+        Response::Registered { version } => {
+            out.push(1);
+            put_u64(out, *version);
+        }
+        Response::Appended { version } => {
+            out.push(2);
+            put_u64(out, *version);
+        }
+        Response::Explained { text } => {
+            out.push(3);
+            put_string(out, text);
+        }
+        Response::Stats(stats) => {
+            out.push(4);
+            put_stats_body(out, stats);
+        }
+        Response::ShuttingDown => out.push(5),
+        Response::Busy {
+            in_flight,
+            max_in_flight,
+            retry_after_ms,
+            shed_class,
+        } => {
+            out.push(6);
+            put_u64(out, *in_flight);
+            put_u64(out, *max_in_flight);
+            put_u64(out, *retry_after_ms);
+            put_bool(out, shed_class.is_some());
+            if let Some(class) = shed_class {
+                out.push(class.wire_byte());
             }
         }
-        out
+        Response::Error(fault) => {
+            out.push(7);
+            put_fault(out, fault);
+        }
+        Response::Metrics(snapshot) => {
+            out.push(8);
+            put_registry_snapshot(out, snapshot);
+        }
     }
+}
 
-    /// Decode a payload produced by [`Response::encode`].
-    pub fn decode(payload: &[u8]) -> WireResult<Response> {
-        let mut c = Cursor::new(payload);
-        check_version(&mut c)?;
-        let resp = match c.u8()? {
-            0 => {
-                let n = c.count(16)?;
-                let mut pairs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    pairs.push((c.u64()?, c.u64()?));
-                }
-                Response::Executed(Box::new(get_execution_after_pairs(&mut c, pairs)?))
-            }
-            1 => Response::Registered { version: c.u64()? },
-            2 => Response::Appended { version: c.u64()? },
-            3 => Response::Explained { text: c.string()? },
-            4 => Response::Stats(get_stats_body(&mut c)?),
-            5 => Response::ShuttingDown,
-            6 => Response::Busy {
-                in_flight: c.u64()?,
-                max_in_flight: c.u64()?,
-                retry_after_ms: c.u64()?,
-                shed_class: None,
+/// Decode a response's kind byte + body (counterpart of
+/// [`put_response_body`]).
+pub(crate) fn get_response_body(c: &mut Cursor<'_>) -> WireResult<Response> {
+    Ok(match c.u8()? {
+        0 => Response::Executed(Box::new(get_execution(c)?)),
+        1 => Response::Registered { version: c.u64()? },
+        2 => Response::Appended { version: c.u64()? },
+        3 => Response::Explained { text: c.string()? },
+        4 => Response::Stats(get_stats_body(c)?),
+        5 => Response::ShuttingDown,
+        6 => Response::Busy {
+            in_flight: c.u64()?,
+            max_in_flight: c.u64()?,
+            retry_after_ms: c.u64()?,
+            shed_class: if c.bool()? {
+                Some(ShedClass::from_wire(c.u8()?)?)
+            } else {
+                None
             },
-            7 => Response::Error(get_fault(&mut c)?),
-            8 => Response::Metrics(get_registry_snapshot(&mut c)?),
-            tag => return Err(WireError::Malformed(format!("response tag {tag}"))),
-        };
-        c.finish()?;
-        Ok(resp)
-    }
-
-    /// Write this response as one frame.
-    pub fn write_to<W: Write>(&self, w: &mut W) -> WireResult<()> {
-        write_frame(w, &self.encode())
-    }
-
-    /// Read one response frame; `Ok(None)` when the peer closed cleanly.
-    pub fn read_from<R: Read>(r: &mut R) -> WireResult<Option<Response>> {
-        match read_frame(r)? {
-            Some(payload) => Ok(Some(Response::decode(&payload)?)),
-            None => Ok(None),
-        }
-    }
+        },
+        7 => Response::Error(get_fault(c)?),
+        8 => Response::Metrics(get_registry_snapshot(c)?),
+        tag => return Err(WireError::Malformed(format!("response tag {tag}"))),
+    })
 }
 
 #[cfg(test)]
@@ -1581,108 +1251,6 @@ mod tests {
                 Err(WireError::Truncated) => {}
                 other => panic!("cut at {cut}: unexpected {other:?}"),
             }
-        }
-    }
-
-    #[test]
-    fn version_mismatch_is_typed() {
-        let mut payload = Request::Stats.encode();
-        payload[0] = WIRE_VERSION + 1;
-        match Request::decode(&payload) {
-            Err(WireError::Version { got, want }) => {
-                assert_eq!(got, WIRE_VERSION + 1);
-                assert_eq!(want, WIRE_VERSION);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn trailing_bytes_rejected() {
-        let mut payload = Request::Stats.encode();
-        payload.push(0);
-        match Request::decode(&payload) {
-            Err(WireError::Malformed(d)) => assert!(d.contains("trailing"), "{d}"),
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn metrics_request_round_trips() {
-        let payload = Request::Metrics.encode();
-        match Request::decode(&payload).unwrap() {
-            Request::Metrics => {}
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn metrics_response_round_trips() {
-        let registry = paq_obs::Registry::new();
-        registry.incr("db.route.model");
-        registry.add("solver.nodes", 42);
-        registry.set_gauge("db.cache.entries", -3);
-        for n in [1u64, 5, 900, 70_000, 70_000] {
-            registry.observe_nanos("server.handle", n);
-        }
-        let snapshot = registry.snapshot();
-        let payload = Response::Metrics(snapshot.clone()).encode();
-        match Response::decode(&payload).unwrap() {
-            Response::Metrics(decoded) => {
-                assert_eq!(decoded, snapshot);
-                let (_, handle) = decoded
-                    .histograms
-                    .iter()
-                    .find(|(name, _)| name == "server.handle")
-                    .expect("server.handle histogram survived the wire");
-                assert_eq!(handle.count, 5);
-                assert_eq!(handle.min, 1);
-                assert_eq!(handle.max, 70_000);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn metrics_response_empty_snapshot_round_trips() {
-        let payload = Response::Metrics(paq_obs::RegistrySnapshot::default()).encode();
-        match Response::decode(&payload).unwrap() {
-            Response::Metrics(decoded) => assert_eq!(decoded, paq_obs::RegistrySnapshot::default()),
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn metrics_response_out_of_range_bucket_rejected() {
-        // Hand-craft a Metrics response whose single histogram carries
-        // a bucket index past the fixed bucket array.
-        let mut out = vec![WIRE_VERSION, 8];
-        put_u64(&mut out, 0); // counters
-        put_u64(&mut out, 0); // gauges
-        put_u64(&mut out, 1); // histograms
-        put_string(&mut out, "h");
-        put_u64(&mut out, 1); // count
-        put_u64(&mut out, 1); // sum
-        put_u64(&mut out, 1); // min
-        put_u64(&mut out, 1); // max
-        put_u64(&mut out, 1); // buckets
-        out.push(paq_obs::histogram::BUCKET_COUNT as u8);
-        put_u64(&mut out, 1);
-        match Response::decode(&out) {
-            Err(WireError::Malformed(d)) => assert!(d.contains("bucket"), "{d}"),
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn corrupt_sequence_count_rejected_without_allocation() {
-        // An AppendRow whose row count claims u64::MAX elements.
-        let mut out = vec![WIRE_VERSION, 2];
-        put_string(&mut out, "T");
-        put_u64(&mut out, u64::MAX);
-        match Request::decode(&out) {
-            Err(WireError::Malformed(d)) => assert!(d.contains("count"), "{d}"),
-            other => panic!("unexpected {other:?}"),
         }
     }
 }

@@ -1,17 +1,20 @@
-//! Protocol-v7 serving end to end: the version-negotiation handshake,
-//! request pipelining with out-of-order completion checked bit-identical
-//! to sequential execution (at 1 and 4 workers), columnar catalog
-//! mutations over one pipelined connection, fairness-aware shedding
-//! surfaced as typed `Busy` answers, the idle-connection reaper, and —
-//! via recorded golden frames — proof that a pure-v6 byte stream is
-//! still served exactly as before the redesign.
+//! Serving end to end: the handshake, request pipelining with
+//! out-of-order completion checked bit-identical to sequential execution
+//! (at 1 and 4 workers), columnar catalog mutations over one pipelined
+//! connection, fairness-aware shedding surfaced as typed `Busy` answers,
+//! the idle-connection reaper, the typed refusal of anything that does
+//! not open with a current `Hello`, and — via recorded golden frames —
+//! proof that the wire bytes are the ones recorded before the byte layer
+//! was collapsed onto one codec.
 
 use paq_db::{DbConfig, PackageDb, Route};
 use paq_lang::parse_paql;
 use paq_relational::{DataType, Schema, Table, Value};
+use paq_server::wire7::{decode_response_v7, encode_request_v7};
 use paq_server::{
-    pipe_listener, wire, AdmissionConfig, Client, ClientError, Hello, HelloAck, HelloOptions,
-    PipelinedClient, RequestBuilder, Response, Server, ServerConfig, ShedClass, WIRE_V7,
+    pipe_listener, wire, AdmissionConfig, Client, ClientError, FaultKind, Hello, HelloOptions,
+    PipelinedClient, Request, RequestBuilder, Response, Server, ServerConfig, ShedClass,
+    CONTROL_TAG, WIRE_VERSION,
 };
 use std::io::Write;
 use std::time::{Duration, Instant};
@@ -74,7 +77,7 @@ fn pinned(paql: &str) -> RequestBuilder {
 }
 
 #[test]
-fn handshake_negotiates_v7_and_advertises_the_window() {
+fn handshake_advertises_the_window() {
     let db = test_db();
     let server = Server::with_config(
         db.session(),
@@ -116,7 +119,7 @@ fn out_of_order_pipelined_results_match_sequential_bit_identically() {
         std::thread::scope(|scope| {
             scope.spawn(|| server.serve(listener));
 
-            // Sequential baseline: one legacy connection, one request at
+            // Sequential baseline: one blocking connection, one request at
             // a time, in submission order.
             let submissions: Vec<&str> = (0..6).map(|i| QUERIES[i % QUERIES.len()]).collect();
             let mut sequential = Client::over(connector.connect().unwrap());
@@ -188,7 +191,7 @@ fn pipelined_catalog_mutations_travel_columnar_and_apply_in_order() {
         scope.spawn(|| server.serve(listener));
         let mut client = PipelinedClient::handshake(connector.connect().unwrap()).unwrap();
 
-        // All submitted before the first wait: registration (the v7
+        // All submitted before the first wait: registration (the
         // columnar body), an append, and the stats read-back ride the
         // same pipelined connection.
         let table = items_table(30, 0xBEEF);
@@ -272,18 +275,20 @@ fn quota_shed_is_a_typed_busy_on_the_request_tag() {
         }
         assert!(server.shed_requests() >= 1);
         assert!(db.obs_registry().counter(paq_obs::names::SERVER_SHED) >= 1);
-        // Free the single handler worker for the legacy connection.
+        // Free the single handler worker for the next connection.
         drop(client);
 
-        // Legacy connections bypass pipelined admission entirely — the
-        // same server still serves them.
-        let mut legacy = Client::over(connector.connect().unwrap());
-        assert!(!pinned(QUERIES[0])
-            .send(&mut legacy)
-            .unwrap()
-            .pairs
-            .is_empty());
-        legacy.shutdown().unwrap();
+        // There is one admission path: a blocking client's request is
+        // shed the same way, under the default class it declared.
+        let mut blocking = Client::over(connector.connect().unwrap());
+        match pinned(QUERIES[0]).send(&mut blocking) {
+            Err(ClientError::Busy { shed_class, .. }) => {
+                assert_eq!(shed_class, Some(ShedClass::Normal));
+            }
+            other => panic!("expected Busy, got {other:?}"),
+        }
+        // (A wire `Shutdown` would be shed too.)
+        server.trigger_shutdown();
     });
 }
 
@@ -325,21 +330,8 @@ fn idle_connections_are_reaped_without_touching_active_ones() {
 }
 
 // ---------------------------------------------------------------------
-// Version negotiation and v6 byte-compatibility
+// One protocol: typed refusal of anything else, and golden wire bytes
 // ---------------------------------------------------------------------
-
-/// A recorded v6 `Request::Stats` frame (length prefix + payload), as
-/// emitted before the v7 redesign. The codec must keep producing — and
-/// the server keep serving — these exact bytes.
-const GOLDEN_V6_STATS_FRAME: &str = "000000020604";
-
-/// A recorded v6 `Request::Execute` frame: the suite's 2-item knapsack
-/// against `Items`, forced SKETCHREFINE (threshold 10, 5 groups, one
-/// solver thread).
-const GOLDEN_V6_EXECUTE_FRAME: &str = "00000091060005000000000000004974656d735b000000000000005\
-3454c454354205041434b41474528522920415320502046524f4d204974656d73205220524550454154203020535\
-54348205448415420434f554e5428502e2a29203d2032204d4158494d495a452053554d28502e76616c756529020\
-10a00000000000000010500000000000000010100000000000000000000";
 
 fn unhex(s: &str) -> Vec<u8> {
     (0..s.len())
@@ -349,52 +341,172 @@ fn unhex(s: &str) -> Vec<u8> {
 }
 
 #[test]
-fn v6_encoders_still_emit_the_recorded_frames() {
-    let mut framed = Vec::new();
-    paq_server::Request::Stats.write_to(&mut framed).unwrap();
-    assert_eq!(framed, unhex(GOLDEN_V6_STATS_FRAME), "Stats frame drifted");
-
-    let golden = unhex(GOLDEN_V6_EXECUTE_FRAME);
-    let paql = "SELECT PACKAGE(R) AS P FROM Items R REPEAT 0 \
-                SUCH THAT COUNT(P.*) = 2 MAXIMIZE SUM(P.value)";
-    let mut framed = Vec::new();
-    RequestBuilder::query(paql)
-        .relation("Items")
-        .force_sketch_refine()
-        .direct_threshold(10)
-        .default_groups(5)
-        .threads(1)
-        .build()
-        .write_to(&mut framed)
-        .unwrap();
-    assert_eq!(framed, golden, "Execute frame drifted");
-}
-
-#[test]
-fn recorded_v6_frames_are_served_unchanged() {
+fn anything_but_a_current_hello_gets_one_version_fault_and_a_close() {
     let db = test_db();
     let server = Server::new(db.session());
     let (connector, listener) = pipe_listener();
     std::thread::scope(|scope| {
         scope.spawn(|| server.serve(listener));
 
-        // Replay the raw recorded bytes — no client library involved —
-        // and decode the answers with the legacy codec.
+        let old_hello = Hello {
+            max_version: WIRE_VERSION - 1,
+            client_id: 0,
+            class: ShedClass::Normal,
+        };
+        let openers = [
+            // A recorded v6 `Stats` payload (version byte 6, kind 4).
+            unhex("0604"),
+            // A v7 request before any handshake.
+            encode_request_v7(0, &Request::Stats),
+            // A Hello that tops out below the served version.
+            old_hello.encode(),
+        ];
+        for opener in &openers {
+            let mut conn = connector.connect().unwrap();
+            wire::write_frame(&mut conn, opener).unwrap();
+            let payload = wire::read_frame(&mut conn).unwrap().expect("a refusal");
+            match decode_response_v7(&payload).unwrap() {
+                (CONTROL_TAG, Response::Error(fault)) => {
+                    assert_eq!(fault.kind, FaultKind::Version, "{fault}");
+                }
+                other => panic!("expected a Version fault on the control tag, got {other:?}"),
+            }
+            assert!(
+                wire::read_frame(&mut conn).unwrap().is_none(),
+                "one fault, then the close"
+            );
+        }
+
+        // A current client on the same server is still served.
+        let mut client = Client::over(connector.connect().unwrap());
+        client.stats().expect("a current client is served");
+        client.shutdown().unwrap();
+    });
+    assert_eq!(server.handler_panics(), 0);
+}
+
+/// Frames (length prefix + payload) recorded at the commit before the
+/// byte layer was collapsed: a `Hello` (client 42, bulk class) and the
+/// suite's 2-item knapsack against `Items` on tag `0x01020304`, forced
+/// SKETCHREFINE (threshold 10, 5 groups, one solver thread).
+const GOLDEN_HELLO_FRAME: &str = "0000000c0700072a0000000000000002";
+const GOLDEN_EXECUTE_FRAME: &str = "000000960702040302010005000000000000004974656d735b00000000\
+00000053454c454354205041434b41474528522920415320502046524f4d204974656d7320522052455045415420302\
+053554348205448415420434f554e5428502e2a29203d2032204d4158494d495a452053554d28502e76616c75652902\
+010a00000000000000010500000000000000010100000000000000000000";
+
+/// The recorded columnar `RegisterTable` frame is 118 KiB, so it is
+/// pinned by length, FNV-1a-64 digest and its first 96 bytes (frame
+/// header, name, schema, row count, first chunk header): 5 000 rows of
+/// (Int, Float, Bool, Str) with every seventh row null — two chunks
+/// per column — on tag 7 with token 9.
+const GOLDEN_REGISTER_LEN: usize = 121_045;
+const GOLDEN_REGISTER_FNV1A64: u64 = 0x89c2_64bf_be10_32dc;
+const GOLDEN_REGISTER_HEAD: &str = "0001d8d10702070000000105000000000000004e756c6c730400000000\
+0000000200000000000000696400050000000000000073636f7265010400000000000000666c6167020400000000000\
+0006e616d650388130000000000000200000000";
+
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn framed(payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    wire::write_frame(&mut out, payload).unwrap();
+    out
+}
+
+#[test]
+fn encoders_still_emit_the_recorded_frames() {
+    let hello = Hello {
+        max_version: 7,
+        client_id: 42,
+        class: ShedClass::Bulk,
+    };
+    assert_eq!(
+        framed(&hello.encode()),
+        unhex(GOLDEN_HELLO_FRAME),
+        "Hello frame drifted"
+    );
+
+    let paql = "SELECT PACKAGE(R) AS P FROM Items R REPEAT 0 \
+                SUCH THAT COUNT(P.*) = 2 MAXIMIZE SUM(P.value)";
+    let execute = RequestBuilder::query(paql)
+        .relation("Items")
+        .force_sketch_refine()
+        .direct_threshold(10)
+        .default_groups(5)
+        .threads(1)
+        .build();
+    assert_eq!(
+        framed(&encode_request_v7(0x0102_0304, &execute)),
+        unhex(GOLDEN_EXECUTE_FRAME),
+        "Execute frame drifted"
+    );
+
+    let mut table = Table::new(Schema::from_pairs(&[
+        ("id", DataType::Int),
+        ("score", DataType::Float),
+        ("flag", DataType::Bool),
+        ("name", DataType::Str),
+    ]));
+    for i in 0..5_000i64 {
+        let row = if i % 7 == 0 {
+            vec![Value::Null; 4]
+        } else {
+            vec![
+                Value::Int(1_000_000 + i),
+                Value::Float(i as f64 * 0.5),
+                Value::Bool(i % 3 == 0),
+                Value::Str(format!("row-{i}")),
+            ]
+        };
+        table.push_row(row).unwrap();
+    }
+    let register = Request::RegisterTable {
+        name: "Nulls".into(),
+        table,
+        token: Some(9),
+    };
+    let frame = framed(&encode_request_v7(7, &register));
+    assert_eq!(
+        frame.len(),
+        GOLDEN_REGISTER_LEN,
+        "RegisterTable frame size drifted"
+    );
+    assert_eq!(
+        frame[..96],
+        unhex(GOLDEN_REGISTER_HEAD)[..],
+        "RegisterTable frame head drifted"
+    );
+    assert_eq!(
+        fnv1a64(&frame),
+        GOLDEN_REGISTER_FNV1A64,
+        "RegisterTable frame bytes drifted"
+    );
+}
+
+#[test]
+fn recorded_frames_are_served_unchanged() {
+    let db = test_db();
+    let server = Server::new(db.session());
+    let (connector, listener) = pipe_listener();
+    std::thread::scope(|scope| {
+        scope.spawn(|| server.serve(listener));
+
+        // Replay the raw recorded bytes — no client library involved.
         let mut conn = connector.connect().unwrap();
-        conn.write_all(&unhex(GOLDEN_V6_EXECUTE_FRAME)).unwrap();
+        conn.write_all(&unhex(GOLDEN_HELLO_FRAME)).unwrap();
+        wire::read_frame(&mut conn).unwrap().expect("ack");
+        conn.write_all(&unhex(GOLDEN_EXECUTE_FRAME)).unwrap();
         let payload = wire::read_frame(&mut conn).unwrap().expect("answer");
-        let remote = match Response::decode(&payload).unwrap() {
-            Response::Executed(exec) => *exec,
-            other => panic!("expected Executed, got {other:?}"),
+        let remote = match decode_response_v7(&payload).unwrap() {
+            (0x0102_0304, Response::Executed(exec)) => *exec,
+            other => panic!("expected Executed on the recorded tag, got {other:?}"),
         };
         assert!(!remote.direct, "the recorded frame forces SKETCHREFINE");
-
-        conn.write_all(&unhex(GOLDEN_V6_STATS_FRAME)).unwrap();
-        let payload = wire::read_frame(&mut conn).unwrap().expect("answer");
-        match Response::decode(&payload).unwrap() {
-            Response::Stats(stats) => assert_eq!(stats.tables[0].name, "Items"),
-            other => panic!("expected Stats, got {other:?}"),
-        }
         drop(conn);
 
         // Ground truth: the replayed execution matches in-process.
@@ -404,41 +516,6 @@ fn recorded_v6_frames_are_served_unchanged() {
             .execute_with(&parse_paql(paql).unwrap(), Route::ForceSketchRefine)
             .unwrap();
         assert_eq!(remote.package().members(), local.package.members());
-
-        let mut client = Client::over(connector.connect().unwrap());
-        client.shutdown().unwrap();
-    });
-}
-
-#[test]
-fn hello_below_v7_downgrades_to_the_legacy_codec() {
-    let db = test_db();
-    let server = Server::new(db.session());
-    let (connector, listener) = pipe_listener();
-    std::thread::scope(|scope| {
-        scope.spawn(|| server.serve(listener));
-
-        // A client that tops out at v6: the server must answer the
-        // handshake with version 6 and then speak pure legacy frames on
-        // the same connection.
-        let mut conn = connector.connect().unwrap();
-        Hello {
-            max_version: WIRE_V7 - 1,
-            client_id: 0,
-            class: ShedClass::Normal,
-        }
-        .write_to(&mut conn)
-        .unwrap();
-        let ack = HelloAck::read_from(&mut conn).unwrap().expect("ack");
-        assert_eq!(ack.version, WIRE_V7 - 1, "server must not over-negotiate");
-
-        paq_server::Request::Stats.write_to(&mut conn).unwrap();
-        let payload = wire::read_frame(&mut conn).unwrap().expect("answer");
-        match Response::decode(&payload).unwrap() {
-            Response::Stats(stats) => assert_eq!(stats.tables[0].rows, 60),
-            other => panic!("expected a legacy Stats answer, got {other:?}"),
-        }
-        drop(conn);
 
         let mut client = Client::over(connector.connect().unwrap());
         client.shutdown().unwrap();

@@ -77,6 +77,28 @@ impl StoreError {
     }
 }
 
+/// A decode failure of the shared byte codec is a malformed payload.
+impl From<paq_relational::codec::CodecError> for StoreError {
+    fn from(e: paq_relational::codec::CodecError) -> Self {
+        StoreError::malformed(e.0)
+    }
+}
+
+/// What to say about a file that does not open with `want`: an older
+/// format of ours (same family, different version digits — refused, not
+/// migrated) or not our file at all.
+pub(crate) fn bad_magic(what: &str, got: &[u8], want: &[u8; 8]) -> String {
+    let want = String::from_utf8_lossy(want);
+    if got[..6] == want.as_bytes()[..6] {
+        format!(
+            "unsupported {what} format {} (this build reads only {want})",
+            String::from_utf8_lossy(got)
+        )
+    } else {
+        format!("bad magic (not a PAQ {what} file)")
+    }
+}
+
 impl fmt::Display for StoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

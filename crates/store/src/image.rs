@@ -11,10 +11,9 @@ use paq_partition::Partitioning;
 use paq_relational::Table;
 use std::sync::Arc;
 
-use crate::codec::{
-    decode_partitioning, decode_table, encode_partitioning, encode_table, put_str, put_u32,
-    put_u64, put_u8, Cursor,
-};
+use paq_relational::codec::{decode_table, encode_table, put_string, put_u64, Cursor};
+
+use crate::codec::{decode_partitioning, encode_partitioning};
 use crate::error::{StoreError, StoreResult};
 
 /// One catalog table as of a snapshot: its display name, the catalog
@@ -134,69 +133,63 @@ pub struct StoreState {
 /// Append an encoding of `state` to `out`.
 pub fn encode_state(out: &mut Vec<u8>, state: &StoreState) {
     put_u64(out, state.last_version);
-    put_u32(out, state.tables.len() as u32);
+    put_u64(out, state.tables.len() as u64);
     for t in &state.tables {
-        put_str(out, &t.name);
+        put_string(out, &t.name);
         put_u64(out, t.version);
         encode_table(out, &t.table);
         put_u64(out, t.main_rows);
     }
-    put_u32(out, state.partitionings.len() as u32);
+    put_u64(out, state.partitionings.len() as u64);
     for p in &state.partitionings {
-        put_str(out, &p.table_key);
+        put_string(out, &p.table_key);
         put_u64(out, p.version);
-        put_u32(out, p.attributes.len() as u32);
+        put_u64(out, p.attributes.len() as u64);
         for a in &p.attributes {
-            put_str(out, a);
+            put_string(out, a);
         }
         match p.spec {
             SpecImage::BySize { tau } => {
-                put_u8(out, 0);
+                out.push(0);
                 put_u64(out, tau);
             }
             SpecImage::External { id } => {
-                put_u8(out, 1);
+                out.push(1);
                 put_u64(out, id);
             }
         }
         encode_partitioning(out, &p.partitioning);
     }
-    put_u32(out, state.telemetry.len() as u32);
+    put_u64(out, state.telemetry.len() as u64);
     for o in &state.telemetry {
         put_u64(out, o.rows);
         put_u64(out, o.constraints);
         put_u64(out, o.repeat_bound);
         put_u64(out, o.tau);
-        put_u8(
-            out,
-            match o.strategy {
-                StrategyKind::Direct => 0,
-                StrategyKind::SketchRefine => 1,
-            },
-        );
+        out.push(match o.strategy {
+            StrategyKind::Direct => 0,
+            StrategyKind::SketchRefine => 1,
+        });
         put_u64(out, o.cost_nanos);
     }
-    put_u32(out, state.acked_tokens.len() as u32);
+    put_u64(out, state.acked_tokens.len() as u64);
     for a in &state.acked_tokens {
         put_u64(out, a.token);
         put_u64(out, a.version);
-        put_u8(
-            out,
-            match a.kind {
-                AckKind::Register => 0,
-                AckKind::Append => 1,
-            },
-        );
+        out.push(match a.kind {
+            AckKind::Register => 0,
+            AckKind::Append => 1,
+        });
     }
 }
 
 /// Decode a state encoded by [`encode_state`].
 pub fn decode_state(cur: &mut Cursor<'_>) -> StoreResult<StoreState> {
     let last_version = cur.u64()?;
-    let ntables = cur.count(13)?;
+    let ntables = cur.count(48)?; // name + version + schema + rows + main_rows
     let mut tables = Vec::with_capacity(ntables);
     for _ in 0..ntables {
-        let name = cur.str()?;
+        let name = cur.string()?;
         let version = cur.u64()?;
         let table = Arc::new(decode_table(cur)?);
         let main_rows = cur.u64()?;
@@ -207,15 +200,15 @@ pub fn decode_state(cur: &mut Cursor<'_>) -> StoreResult<StoreState> {
             main_rows,
         });
     }
-    let nparts = cur.count(12)?;
+    let nparts = cur.count(49)?; // key + version + attrs + spec + partitioning
     let mut partitionings = Vec::with_capacity(nparts);
     for _ in 0..nparts {
-        let table_key = cur.str()?;
+        let table_key = cur.string()?;
         let version = cur.u64()?;
-        let nattrs = cur.count(4)?;
+        let nattrs = cur.count(8)?;
         let mut attributes = Vec::with_capacity(nattrs);
         for _ in 0..nattrs {
-            attributes.push(cur.str()?);
+            attributes.push(cur.string()?);
         }
         let spec = match cur.u8()? {
             0 => SpecImage::BySize { tau: cur.u64()? },

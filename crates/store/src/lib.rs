@@ -10,9 +10,10 @@
 //!   (the LSN), appended inside the engine's catalog write critical
 //!   section so file order equals LSN order with no gaps;
 //! * **snapshots** ([`snapshot`]) periodically capture the full
-//!   [`StoreState`] — tables in a page-structured columnar format
-//!   ([`codec`]), plus serialized partitionings and telemetry — and
-//!   truncate the WAL;
+//!   [`StoreState`] — tables in the chunked columnar layout of
+//!   [`paq_relational::codec`] (the one the wire protocol ships), plus
+//!   serialized partitionings ([`codec`]) and telemetry — and truncate
+//!   the WAL;
 //! * **recovery** ([`replay`]) loads the latest snapshot and folds the
 //!   WAL suffix over it, partitioned by table and parallelized on the
 //!   `paq-exec` pool, so a restarted engine republishes warm caches

@@ -4,7 +4,7 @@
 //! # File layout
 //!
 //! ```text
-//! [8-byte magic "PAQSNAP2"][u64 body_len][u32 crc32(body)][body]
+//! [8-byte magic "PAQSNAP3"][u64 body_len][u32 crc32(body)][body]
 //! body = encode_state(StoreState)
 //! ```
 //!
@@ -24,16 +24,18 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use crate::codec::{crc32, put_u32, put_u64, Cursor};
+use paq_relational::codec::{crc32, put_u32, put_u64, Cursor};
+
 use crate::error::{StoreError, StoreResult};
 use crate::fault::{FaultDecision, FaultInjector, FaultSite};
 use crate::image::{decode_state, encode_state, StoreState};
 
 /// Magic bytes opening every snapshot file. The trailing digit
 /// versions the body encoding: `2` added per-table `main_rows` and the
-/// acked-token list; older snapshots fail with a clear bad-magic error
+/// acked-token list, `3` adopted the shared [`paq_relational::codec`]
+/// layout; older snapshots fail with a typed unsupported-format error
 /// rather than misdecoding.
-pub const SNAP_MAGIC: &[u8; 8] = b"PAQSNAP2";
+pub const SNAP_MAGIC: &[u8; 8] = b"PAQSNAP3";
 
 /// File name for the snapshot taken at `lsn`.
 pub fn snapshot_file_name(lsn: u64) -> String {
@@ -156,7 +158,11 @@ pub fn read_snapshot(path: &Path) -> StoreResult<StoreState> {
         return Err(corrupt(format!("file is only {} bytes", bytes.len())));
     }
     if &bytes[..SNAP_MAGIC.len()] != SNAP_MAGIC {
-        return Err(corrupt("bad magic (not a PAQ snapshot)".into()));
+        return Err(corrupt(crate::error::bad_magic(
+            "snapshot",
+            &bytes[..SNAP_MAGIC.len()],
+            SNAP_MAGIC,
+        )));
     }
     let mut header = Cursor::new(&bytes[SNAP_MAGIC.len()..SNAP_MAGIC.len() + 12]);
     let body_len = header.u64().map_err(|e| corrupt(e.to_string()))? as usize;

@@ -4,11 +4,15 @@
 //! # File layout
 //!
 //! ```text
-//! [8-byte magic "PAQWAL01"]
+//! [8-byte magic "PAQWAL03"]
 //! repeated records:
 //!   [u32 payload_len][u32 crc32(payload)][payload]
 //!   payload = [u64 lsn][u8 kind][kind-specific body]
 //! ```
+//!
+//! Bodies are written with [`paq_relational::codec`] — the byte layout
+//! the wire protocol uses: tables in crc-guarded column chunks, rows as
+//! tagged values, names as `u64`-length strings.
 //!
 //! LSNs are the catalog versions stamped by the engine, strictly
 //! increasing within the file. Because the engine appends while holding
@@ -27,15 +31,18 @@
 use paq_relational::{Table, Value};
 use std::sync::Arc;
 
-use crate::codec::{
-    crc32, decode_table, encode_table, put_str, put_u32, put_u64, put_u8, put_value, Cursor,
+use paq_relational::codec::{
+    crc32, decode_table, encode_table, get_opt_u64, get_values, put_opt_u64, put_string, put_u32,
+    put_u64, put_values, Cursor,
 };
+
 use crate::error::{StoreError, StoreResult};
 
 /// Magic bytes opening every WAL file; the trailing digits version the
 /// record format (02 added the idempotency-token byte to mutation
-/// records).
-pub const WAL_MAGIC: &[u8; 8] = b"PAQWAL02";
+/// records, 03 adopted the shared [`paq_relational::codec`] layout).
+/// Logs of an older format are refused, not migrated.
+pub const WAL_MAGIC: &[u8; 8] = b"PAQWAL03";
 
 /// Upper bound on a single record's payload (1 GiB). A fully present
 /// record claiming more is corruption, not a big table.
@@ -100,27 +107,6 @@ impl WalOp {
     }
 }
 
-/// Append an optional token as a presence byte plus the value.
-fn put_token(out: &mut Vec<u8>, token: Option<u64>) {
-    match token {
-        Some(t) => {
-            put_u8(out, 1);
-            put_u64(out, t);
-        }
-        None => put_u8(out, 0),
-    }
-}
-
-fn read_token(cur: &mut Cursor<'_>) -> StoreResult<Option<u64>> {
-    match cur.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(cur.u64()?)),
-        other => Err(StoreError::malformed(format!(
-            "token presence byte must be 0 or 1, got {other}"
-        ))),
-    }
-}
-
 /// One WAL record: a log sequence number (the catalog version the
 /// mutation produced) and the mutation itself.
 #[derive(Debug, Clone)]
@@ -138,28 +124,25 @@ pub fn encode_record(record: &WalRecord) -> Vec<u8> {
     put_u64(&mut payload, record.lsn);
     match &record.op {
         WalOp::RegisterTable { name, table, token } => {
-            put_u8(&mut payload, 1);
-            put_str(&mut payload, name);
+            payload.push(1);
+            put_string(&mut payload, name);
             encode_table(&mut payload, table);
-            put_token(&mut payload, *token);
+            put_opt_u64(&mut payload, *token);
         }
         WalOp::AppendRow { name, row, token } => {
-            put_u8(&mut payload, 2);
-            put_str(&mut payload, name);
-            put_u32(&mut payload, row.len() as u32);
-            for v in row {
-                put_value(&mut payload, v);
-            }
-            put_token(&mut payload, *token);
+            payload.push(2);
+            put_string(&mut payload, name);
+            put_values(&mut payload, row);
+            put_opt_u64(&mut payload, *token);
         }
         WalOp::MutateTable { name, table } => {
-            put_u8(&mut payload, 3);
-            put_str(&mut payload, name);
+            payload.push(3);
+            put_string(&mut payload, name);
             encode_table(&mut payload, table);
         }
         WalOp::DropTable { name } => {
-            put_u8(&mut payload, 4);
-            put_str(&mut payload, name);
+            payload.push(4);
+            put_string(&mut payload, name);
         }
     }
     let mut frame = Vec::with_capacity(payload.len() + 8);
@@ -175,27 +158,23 @@ pub fn decode_payload(payload: &[u8]) -> StoreResult<WalRecord> {
     let lsn = cur.u64()?;
     let kind = cur.u8()?;
     let op = match kind {
-        1 => {
-            let name = cur.str()?;
-            let table = Arc::new(decode_table(&mut cur)?);
-            let token = read_token(&mut cur)?;
-            WalOp::RegisterTable { name, table, token }
-        }
-        2 => {
-            let name = cur.str()?;
-            let n = cur.count(1)?;
-            let mut row = Vec::with_capacity(n);
-            for _ in 0..n {
-                row.push(cur.value()?);
-            }
-            let token = read_token(&mut cur)?;
-            WalOp::AppendRow { name, row, token }
-        }
+        1 => WalOp::RegisterTable {
+            name: cur.string()?,
+            table: Arc::new(decode_table(&mut cur)?),
+            token: get_opt_u64(&mut cur)?,
+        },
+        2 => WalOp::AppendRow {
+            name: cur.string()?,
+            row: get_values(&mut cur)?,
+            token: get_opt_u64(&mut cur)?,
+        },
         3 => WalOp::MutateTable {
-            name: cur.str()?,
+            name: cur.string()?,
             table: Arc::new(decode_table(&mut cur)?),
         },
-        4 => WalOp::DropTable { name: cur.str()? },
+        4 => WalOp::DropTable {
+            name: cur.string()?,
+        },
         other => {
             return Err(StoreError::malformed(format!(
                 "unknown WAL record kind {other}"
@@ -245,7 +224,7 @@ pub fn scan(bytes: &[u8]) -> StoreResult<WalScan> {
     if &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
         return Err(StoreError::WalCorrupt {
             offset: 0,
-            detail: "bad magic (not a PAQ WAL file)".into(),
+            detail: crate::error::bad_magic("WAL", &bytes[..WAL_MAGIC.len()], WAL_MAGIC),
         });
     }
     let mut records = Vec::new();
