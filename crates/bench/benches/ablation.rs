@@ -1,4 +1,4 @@
-//! Ablation benchmarks for the design choices DESIGN.md calls out:
+//! Ablation benchmarks for two design choices of `paq-solver`:
 //!
 //! * **presolve singleton folding** — the SKETCH query adds one
 //!   per-group cardinality cap row per group; folding keeps those rows

@@ -4,11 +4,25 @@ use std::time::Duration;
 
 use paq_solver::SolverConfig;
 
+/// `raw` is the variable's value when it is set. Unset means the
+/// default; set but unparsable is an error naming variable and value, so
+/// a typo (`PAQ_SCALE=20k`) cannot run a figure at the default scale.
+fn parse_u64(name: &str, raw: Option<&str>, default: u64) -> Result<u64, String> {
+    match raw {
+        None => Ok(default),
+        Some(v) => v
+            .parse()
+            .map_err(|e| format!("{name}={v:?} is not an unsigned integer: {e}")),
+    }
+}
+
 fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    let raw = match std::env::var(name) {
+        Ok(v) => Some(v),
+        Err(std::env::VarError::NotPresent) => None,
+        Err(std::env::VarError::NotUnicode(v)) => panic!("{name}={v:?} is not valid unicode"),
+    };
+    parse_u64(name, raw.as_deref(), default).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Base Galaxy row count (`PAQ_SCALE`, default 20 000). The paper's
@@ -27,16 +41,6 @@ pub fn tpch_rows() -> usize {
 /// Experiment RNG seed (`PAQ_SEED`).
 pub fn seed() -> u64 {
     env_u64("PAQ_SEED", paq_datagen::DEFAULT_SEED)
-}
-
-/// Bench-snapshot RNG seed (`PAQ_BENCH_SEED`), pinned to a fixed
-/// default **independently of `PAQ_SEED`**: the committed
-/// `BENCH_refine.json` snapshot must be reproducible run-to-run (the
-/// CI regression gate diffs against it), so the perf-trajectory bench
-/// must not inherit whatever seed a local experiment sweep happened to
-/// export. Override explicitly to study seed sensitivity.
-pub fn bench_seed() -> u64 {
-    env_u64("PAQ_BENCH_SEED", paq_datagen::DEFAULT_SEED)
 }
 
 /// REFINE worker threads (`PAQ_THREADS`, default 1 = the sequential
@@ -67,9 +71,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bench_seed_default_is_pinned() {
-        if std::env::var("PAQ_BENCH_SEED").is_err() {
-            assert_eq!(bench_seed(), paq_datagen::DEFAULT_SEED);
+    fn parse_covers_unset_set_and_malformed() {
+        assert_eq!(parse_u64("PAQ_SCALE", None, 20_000), Ok(20_000));
+        assert_eq!(parse_u64("PAQ_SCALE", Some("500"), 20_000), Ok(500));
+        for bad in ["20k", "2e4", "-1", ""] {
+            let err = parse_u64("PAQ_SCALE", Some(bad), 20_000).unwrap_err();
+            assert!(
+                err.contains("PAQ_SCALE") && err.contains(&format!("{bad:?}")),
+                "error names variable and value: {err}"
+            );
         }
     }
 

@@ -5,8 +5,9 @@
 //! Reproduces every table and figure of the paper's evaluation (§5).
 //! Each `src/bin/figN_*.rs` binary regenerates one figure/table as an
 //! aligned text table; `benches/` holds Criterion versions at reduced
-//! scale. See DESIGN.md §4 for the experiment ↔ binary index and
-//! EXPERIMENTS.md for recorded results.
+//! scale; each binary's module docs name the figure it reproduces.
+//! Timings that gate a change come from `benchmark/` (its README), not
+//! from here.
 //!
 //! ## Environment knobs
 //!
@@ -14,24 +15,22 @@
 //! |----------|---------|---------|
 //! | `PAQ_SCALE` | `20000` | base row count of the Galaxy dataset (TPC-H gets ~3.2×) |
 //! | `PAQ_SEED` | `0x5D55AA96` | RNG seed for data + workload synthesis (experiments) |
-//! | `PAQ_BENCH_SEED` | `0x5D55AA96` | RNG seed for the `bench_refine` perf snapshot — pinned independently of `PAQ_SEED` so committed `BENCH_refine.json` snapshots reproduce run-to-run |
 //! | `PAQ_SOLVER_TIME_MS` | `20000` | per-solve wall-clock budget (the paper's 1h, scaled down) |
 //! | `PAQ_SOLVER_MEM_MB` | `64` | per-solve memory budget (the paper's 512MB working memory, scaled down) |
 //! | `PAQ_THREADS` | `1` | REFINE worker threads (wave-based parallel REFINE; identical packages at any setting) |
+//!
+//! A variable that is set but does not parse as an unsigned integer is
+//! a panic naming it, not a silent default.
 //!
 //! The budgets matter: they are how DIRECT's failures on the hard
 //! queries (paper Fig. 5, Galaxy Q2/Q6) reproduce at laptop scale.
 
 pub mod config;
 pub mod experiments;
-pub mod history;
-pub mod json;
 pub mod report;
 pub mod runner;
 
-pub use config::{bench_seed, galaxy_rows, refine_threads, seed, solver_config, tpch_rows};
-pub use history::{render_history, HistoryRow};
-pub use json::Json;
+pub use config::{galaxy_rows, refine_threads, seed, solver_config, tpch_rows};
 pub use report::TextTable;
 pub use runner::{
     effective_rows, fraction_mask, prepare_galaxy, prepare_tpch, run_direct, run_sketchrefine,

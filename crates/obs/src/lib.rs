@@ -7,8 +7,9 @@
 //!
 //! * **hot paths stay hot** — recording a metric is a read-lock plus
 //!   relaxed atomics, and a [`Registry::disabled`] handle reduces every
-//!   call to one branch (proven by the bench guard in
-//!   `BENCH_refine.json`'s `observability.obs_off_warm_min_roundtrip_ms`);
+//!   call to one branch (the cost with obs on is inside the
+//!   `galaxy-serve-12k` `query_p50_ms` of `benchmark/`, which serves
+//!   with obs on);
 //! * **determinism is untouched** — span capture is passive (nothing
 //!   reads a trace during evaluation), so packages stay bit-identical
 //!   at any `PAQ_THREADS` with obs enabled (swept in CI);

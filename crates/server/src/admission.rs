@@ -30,15 +30,9 @@ pub(crate) const CLASSES: [ShedClass; 3] =
 /// `FairScheduler` for the mechanics).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AdmissionConfig {
-    /// `true` (default) enables weighted-fair dequeue and
-    /// shed-lowest-priority. `false` degrades to the global-bound
-    /// baseline: FIFO dequeue in arrival order, shed the incoming
-    /// request when full — the PR 4 discipline, kept selectable so the
-    /// load bench can measure fairness against it.
-    pub fair: bool,
     /// Total queued requests across all classes; beyond it, admission
-    /// sheds (fair: lowest-priority queued work, baseline: the
-    /// arrival).
+    /// sheds the lowest-priority queued work below the arrival's class
+    /// (or the arrival, when nothing queued ranks below it).
     pub max_queued: usize,
     /// Max queued + in-flight requests per client identity. Protects
     /// the queue itself from a single client regardless of class.
@@ -53,7 +47,6 @@ pub struct AdmissionConfig {
 impl Default for AdmissionConfig {
     fn default() -> Self {
         AdmissionConfig {
-            fair: true,
             max_queued: 256,
             per_client_quota: 128,
             weights: [8, 2, 1],
@@ -76,7 +69,6 @@ pub(crate) enum PushOutcome<T> {
 }
 
 struct Entry<T> {
-    seq: u64,
     client: u64,
     item: T,
 }
@@ -90,7 +82,6 @@ struct SchedState<T> {
     clients: HashMap<u64, usize>,
     /// Smoothed weighted round-robin credit per class.
     credits: [i64; 3],
-    next_seq: u64,
     closed: bool,
 }
 
@@ -111,7 +102,6 @@ impl<T> FairScheduler<T> {
                 queued: 0,
                 clients: HashMap::new(),
                 credits: [0; 3],
-                next_seq: 0,
                 closed: false,
             }),
             available: Condvar::new(),
@@ -133,9 +123,6 @@ impl<T> FairScheduler<T> {
         let class_idx = class.wire_byte() as usize;
         let mut evicted = None;
         if s.queued >= self.config.max_queued {
-            if !self.config.fair {
-                return PushOutcome::ShedIncoming(item);
-            }
             // Shed the back of the lowest-priority non-empty queue
             // strictly below the arrival's class; a bulk arrival into a
             // full queue has nothing below it and is shed itself.
@@ -150,10 +137,8 @@ impl<T> FairScheduler<T> {
             release_client(&mut s.clients, victim.client);
             evicted = Some(victim.item);
         }
-        let seq = s.next_seq;
-        s.next_seq += 1;
         *s.clients.entry(client).or_insert(0) += 1;
-        s.queues[class_idx].push_back(Entry { seq, client, item });
+        s.queues[class_idx].push_back(Entry { client, item });
         s.queued += 1;
         drop(s);
         self.available.notify_one();
@@ -170,11 +155,7 @@ impl<T> FairScheduler<T> {
         let mut s = self.state.lock().expect("scheduler lock");
         loop {
             if s.queued > 0 {
-                let idx = if self.config.fair {
-                    self.pick_weighted(&mut s)
-                } else {
-                    pick_fifo(&s)
-                };
+                let idx = self.pick_weighted(&mut s);
                 let entry = s.queues[idx].pop_front().expect("picked non-empty");
                 s.queued -= 1;
                 return Some(entry.item);
@@ -228,14 +209,6 @@ impl<T> FairScheduler<T> {
         self.state.lock().expect("scheduler lock").closed = true;
         self.available.notify_all();
     }
-}
-
-/// Global-bound baseline dequeue: strict arrival order across classes.
-fn pick_fifo<T>(s: &SchedState<T>) -> usize {
-    (0..CLASSES.len())
-        .filter(|&i| !s.queues[i].is_empty())
-        .min_by_key(|&i| s.queues[i].front().expect("non-empty").seq)
-        .expect("queued > 0")
 }
 
 fn release_client(clients: &mut HashMap<u64, usize>, client: u64) {
@@ -335,23 +308,7 @@ mod tests {
     }
 
     #[test]
-    fn baseline_is_fifo_across_classes() {
-        let s = sched(AdmissionConfig {
-            fair: false,
-            ..AdmissionConfig::default()
-        });
-        s.push(ShedClass::Bulk, 1, 0);
-        s.push(ShedClass::Interactive, 2, 1);
-        s.push(ShedClass::Bulk, 1, 2);
-        assert_eq!(
-            [s.pop(), s.pop(), s.pop()],
-            [Some(0), Some(1), Some(2)],
-            "baseline ignores class, serves arrival order"
-        );
-    }
-
-    #[test]
-    fn saturation_evicts_lowest_priority_under_fair() {
+    fn saturation_evicts_lowest_priority() {
         let s = sched(AdmissionConfig {
             max_queued: 2,
             ..AdmissionConfig::default()
@@ -366,20 +323,6 @@ mod tests {
         // itself.
         assert!(matches!(
             s.push(ShedClass::Bulk, 1, 12),
-            PushOutcome::ShedIncoming(_)
-        ));
-    }
-
-    #[test]
-    fn saturation_sheds_incoming_under_baseline() {
-        let s = sched(AdmissionConfig {
-            fair: false,
-            max_queued: 1,
-            ..AdmissionConfig::default()
-        });
-        s.push(ShedClass::Bulk, 1, 0);
-        assert!(matches!(
-            s.push(ShedClass::Interactive, 2, 1),
             PushOutcome::ShedIncoming(_)
         ));
     }

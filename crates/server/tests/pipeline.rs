@@ -2,6 +2,7 @@
 //! out-of-order completion checked bit-identical to sequential execution
 //! (at 1 and 4 workers), columnar catalog mutations over one pipelined
 //! connection, fairness-aware shedding surfaced as typed `Busy` answers,
+//! an interactive request overtaking a bulk backlog (counted, not timed),
 //! the idle-connection reaper, the typed refusal of anything that does
 //! not open with a current `Hello`, and — via recorded golden frames —
 //! proof that the wire bytes are the ones recorded before the byte layer
@@ -17,6 +18,8 @@ use paq_server::{
     CONTROL_TAG, WIRE_VERSION,
 };
 use std::io::Write;
+use std::net::{Shutdown, TcpListener, TcpStream};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// Worker counts to sweep: pinned by `PAQ_THREADS` (the CI matrix),
@@ -290,6 +293,113 @@ fn quota_shed_is_a_typed_busy_on_the_request_tag() {
         // (A wire `Shutdown` would be shed too.)
         server.trigger_shutdown();
     });
+}
+
+/// The `[8, 2, 1]` weights as a socket sees them: an interactive query
+/// queued behind a bulk backlog is answered before the backlog, checked
+/// by counting answers, not by timing them. One worker means one
+/// executor, so the dequeue order is the completion order.
+#[test]
+fn interactive_overtakes_a_bulk_backlog_on_the_served_path() {
+    const BACKLOG: usize = 24; // below the default pipeline window of 32
+    let db = test_db();
+    let server = Server::with_config(
+        db.session(),
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+    );
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let bulk_done_at_overtake = std::thread::scope(|scope| {
+        scope.spawn(|| server.serve_tcp(listener).unwrap());
+
+        let bulk_conn = TcpStream::connect(addr).unwrap();
+        let bulk_write_half = bulk_conn.try_clone().unwrap();
+        let mut bulk = PipelinedClient::handshake_as(
+            bulk_conn,
+            HelloOptions {
+                class: ShedClass::Bulk,
+                client_id: 1,
+            },
+        )
+        .unwrap();
+
+        // Park the executor: `mutate_table` runs its closure under the
+        // catalog write lock and every request here starts with a
+        // catalog read, so nothing is answered until `release` fires.
+        // The closure changes nothing, so versions and packages stay.
+        let (parked, is_parked) = mpsc::channel();
+        let (release, released) = mpsc::channel::<()>();
+        let session = db.session();
+        let gate = scope.spawn(move || {
+            session.mutate_table("Items", |_| {
+                parked.send(()).unwrap();
+                let _ = released.recv();
+                Ok(())
+            })
+        });
+        is_parked.recv().unwrap();
+
+        let backlog: Vec<_> = (0..BACKLOG)
+            .map(|_| pinned(QUERIES[0]).submit(&mut bulk).unwrap())
+            .collect();
+        // A connection pins the only handler until it stops sending:
+        // half-close, so the handler queues the backlog, sees the end of
+        // the stream and moves on, while the answers still come back.
+        bulk_write_half.shutdown(Shutdown::Write).unwrap();
+
+        // This handshake is answered by that same handler, so once it
+        // returns the whole backlog is in the admission queue.
+        let mut interactive = PipelinedClient::handshake_as(
+            TcpStream::connect(addr).unwrap(),
+            HelloOptions {
+                class: ShedClass::Interactive,
+                client_id: 2,
+            },
+        )
+        .unwrap();
+        // The query that must overtake, then a `Stats` whose `served` is
+        // the server's own count of answers written before it ran. (A
+        // client cannot count the other connection's answers at one
+        // instant: `poll_ready` keeps reading while answers keep coming.)
+        let overtaker = pinned(QUERIES[0]).submit(&mut interactive).unwrap();
+        let census = interactive.submit_stats().unwrap();
+        let arrivals = (BACKLOG + 2) as u64;
+        while db.obs_registry().counter(paq_obs::names::SERVER_PIPELINED) < arrivals {
+            std::thread::yield_now();
+        }
+        let answered_while_parked = bulk.poll_ready().unwrap().len();
+        release.send(()).unwrap();
+        gate.join().unwrap().unwrap();
+
+        let answer = interactive.wait(overtaker).unwrap();
+        let served_before_census = interactive.wait(census).unwrap().served;
+        let overtook_census = interactive.completed_order()[0] == overtaker.tag();
+
+        // Overtaken, not starved or dropped: every bulk request is still
+        // answered, and identically.
+        let mut identical = true;
+        for ticket in backlog {
+            identical &= bulk.wait(ticket).unwrap().pairs == answer.pairs;
+        }
+        let done = interactive.submit_shutdown().unwrap();
+        interactive.wait(done).unwrap();
+
+        // Asserted after the shutdown: a panic inside the scope would
+        // wait for the serve thread forever.
+        assert_eq!(answered_while_parked, 0, "the gate did not hold");
+        assert!(overtook_census, "same-class requests complete in order");
+        assert!(identical, "a bulk answer differs from the interactive one");
+        // Every answer before the census except the overtaker was bulk.
+        served_before_census - 1
+    });
+    assert!(
+        bulk_done_at_overtake < BACKLOG as u64,
+        "{bulk_done_at_overtake} of {BACKLOG} bulk answers preceded the interactive one: \
+         arrival order, not weighted-fair dequeue"
+    );
 }
 
 #[test]
