@@ -4,8 +4,8 @@
 //!
 //! Reproduces every table and figure of the paper's evaluation (§5).
 //! Each `src/bin/figN_*.rs` binary regenerates one figure/table as an
-//! aligned text table; `benches/` holds Criterion versions at reduced
-//! scale; each binary's module docs name the figure it reproduces.
+//! aligned text table; each binary's module docs name the figure it
+//! reproduces, and `PAQ_SCALE` shrinks any of them to a smoke run.
 //! Timings that gate a change come from `benchmark/` (its README), not
 //! from here.
 //!

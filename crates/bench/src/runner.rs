@@ -111,13 +111,6 @@ impl PreparedDataset {
         self.db.session()
     }
 
-    /// The owning session, for callers that tune its configuration.
-    /// Same contract as [`PreparedDataset::session`]: configuration
-    /// only — do not mutate the dataset's table.
-    pub fn session_mut(&mut self) -> &mut PackageDb {
-        &mut self.db
-    }
-
     /// Run DIRECT on the owned session with timing.
     pub fn run_direct(&mut self, query: &PackageQuery, cfg: &SolverConfig) -> EvalOutcome {
         self.db.config_mut().solver = cfg.clone();
@@ -396,14 +389,14 @@ mod tests {
         let mut d = prepare_galaxy(200, 4);
         let cfg = SolverConfig::default();
         let q1 = d.workload[0].clone();
-        let before = d.session_mut().table_names();
+        let before = d.session().table_names();
         assert_eq!(before, vec!["Galaxy".to_string()]);
         let a = d.run_direct(&q1.query, &cfg);
         let b = d.run_direct(&q1.query, &cfg);
         assert_eq!(a.objective(), b.objective(), "same session, same answer");
         // Still exactly one registered table — nothing was cloned into
         // throwaway sessions.
-        assert_eq!(d.session_mut().table_names(), before);
+        assert_eq!(d.session().table_names(), before);
         // Provided partitionings bypass the partition cache entirely.
         let partitioning = Arc::new(
             Partitioner::new(PartitionConfig::by_size(d.workload_attrs.clone(), 25))
@@ -411,7 +404,7 @@ mod tests {
                 .unwrap(),
         );
         let _ = d.run_sketchrefine(&q1.query, Arc::clone(&partitioning), &cfg);
-        let stats = d.session_mut().cache_stats();
+        let stats = d.session().cache_stats();
         assert_eq!(stats.entries, 0, "no cache entries from provided runs");
     }
 

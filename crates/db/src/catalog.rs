@@ -19,7 +19,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use paq_relational::Table;
+use paq_relational::{Table, Value};
 
 use crate::error::{DbError, DbResult};
 
@@ -29,6 +29,9 @@ pub struct TableEntry {
     name: String,
     table: Arc<Table>,
     version: u64,
+    /// Rows `[0, main_rows)` are what a base partitioning covers; rows
+    /// past it are the delta absorbed by [`Catalog::append_row`].
+    main_rows: u64,
 }
 
 impl TableEntry {
@@ -52,6 +55,14 @@ impl TableEntry {
     /// every mutation.
     pub fn version(&self) -> u64 {
         self.version
+    }
+
+    /// Row count a base partitioning of this table covers: the whole
+    /// table after a registration or an in-place mutation, fewer rows
+    /// while appends are being absorbed. WAL replay tracks the same
+    /// number (`paq_store::TableImage::main_rows`).
+    pub fn main_rows(&self) -> u64 {
+        self.main_rows
     }
 }
 
@@ -86,6 +97,7 @@ impl Catalog {
             key,
             TableEntry {
                 name,
+                main_rows: table.num_rows() as u64,
                 table: Arc::new(table),
                 version,
             },
@@ -107,12 +119,18 @@ impl Catalog {
         Ok((entry, version))
     }
 
-    /// Re-insert a table at an explicit `version` — the recovery seam.
-    /// Unlike [`Catalog::register`], no fresh version is drawn: the
-    /// entry keeps the stamp it had when it was persisted, and the
-    /// catalog-wide counter is floored at it so future mutations stay
-    /// globally monotone over everything ever logged.
-    pub fn restore(&mut self, name: impl Into<String>, table: Arc<Table>, version: u64) {
+    /// Re-insert a table at an explicit `version` and delta base — the
+    /// recovery seam. Unlike [`Catalog::register`], no fresh version is
+    /// drawn: the entry keeps the stamp it had when it was persisted,
+    /// and the catalog-wide counter is floored at it so future
+    /// mutations stay globally monotone over everything ever logged.
+    pub fn restore(
+        &mut self,
+        name: impl Into<String>,
+        table: Arc<Table>,
+        version: u64,
+        main_rows: u64,
+    ) {
         let name = name.into();
         let key = Self::key(&name);
         self.tables.insert(
@@ -121,6 +139,7 @@ impl Catalog {
                 name,
                 table,
                 version,
+                main_rows,
             },
         );
         self.last_version = self.last_version.max(version);
@@ -162,6 +181,9 @@ impl Catalog {
     ///
     /// Contract: an `f` that errors after editing cells in place
     /// (without changing row count or schema) must undo its edits.
+    ///
+    /// An arbitrary edit defeats delta tracking, so a fresh version
+    /// also moves the delta base to the full new contents.
     pub fn mutate<R>(
         &mut self,
         name: &str,
@@ -182,20 +204,43 @@ impl Catalog {
         let result = f(Arc::make_mut(&mut entry.table));
         let changed =
             entry.table.num_rows() != rows_before || entry.table.schema().arity() != arity_before;
-        match result {
-            Ok(out) => {
-                self.last_version += 1;
-                entry.version = self.last_version;
-                Ok((out, entry.version))
-            }
-            Err(e) => {
-                if changed {
-                    self.last_version += 1;
-                    entry.version = self.last_version;
-                }
-                Err(e.into())
-            }
+        if result.is_ok() || changed {
+            self.last_version += 1;
+            entry.version = self.last_version;
+            entry.main_rows = entry.table.num_rows() as u64;
         }
+        Ok((result?, entry.version))
+    }
+
+    /// Append one row, stamping a fresh version; returns it and whether
+    /// the append was **absorbed**. [`Table::push_row`] validates
+    /// before mutating, so a rejected row changes nothing.
+    ///
+    /// With `delta_threshold` set (delta maintenance on), the append is
+    /// absorbed — the delta base stays put — while the table has grown
+    /// by at most that many rows past the base; otherwise it **merges**
+    /// and the base moves to the full row count. This is the decision,
+    /// and the arithmetic, of WAL replay's `MaintenancePolicy`, taken
+    /// where the version is stamped so the two histories cannot differ.
+    pub fn append_row(
+        &mut self,
+        name: &str,
+        row: Vec<Value>,
+        delta_threshold: Option<u64>,
+    ) -> DbResult<(u64, bool)> {
+        let Some(entry) = self.tables.get_mut(&Self::key(name)) else {
+            return Err(self.unknown(name));
+        };
+        Arc::make_mut(&mut entry.table).push_row(row)?;
+        self.last_version += 1;
+        entry.version = self.last_version;
+        let rows = entry.table.num_rows() as u64;
+        let absorbed =
+            delta_threshold.is_some_and(|limit| rows.saturating_sub(entry.main_rows) <= limit);
+        if !absorbed {
+            entry.main_rows = rows;
+        }
+        Ok((entry.version, absorbed))
     }
 
     /// Registered table names (original casing, sorted by key).
@@ -304,6 +349,34 @@ mod tests {
             2,
             "observable change must bump the version"
         );
+    }
+
+    #[test]
+    fn delta_base_follows_absorb_merge_mutate_and_reregister() {
+        let mut c = Catalog::default();
+        c.register("T", table());
+        let row = || vec![Value::Float(2.0)];
+        let base = |c: &Catalog| c.resolve("T").unwrap().main_rows();
+        // Threshold 2: two appends are absorbed, the third merges.
+        assert_eq!(c.append_row("t", row(), Some(2)).unwrap(), (2, true));
+        assert_eq!(c.append_row("t", row(), Some(2)).unwrap(), (3, true));
+        assert_eq!(base(&c), 1);
+        assert_eq!(c.append_row("t", row(), Some(2)).unwrap(), (4, false));
+        assert_eq!(base(&c), 4, "merge moves the base to the full table");
+        // Maintenance off: never absorbed, base == rows.
+        assert_eq!(c.append_row("t", row(), None).unwrap(), (5, false));
+        assert_eq!(base(&c), 5);
+        // A rejected row changes nothing.
+        assert!(c.append_row("t", vec![], Some(2)).is_err());
+        assert_eq!(c.resolve("T").unwrap().version(), 5);
+        // An absorbed delta does not survive an edit or a same-name table.
+        c.append_row("t", row(), Some(2)).unwrap();
+        c.mutate("t", |t| t.push_row(row())).unwrap();
+        assert_eq!(base(&c), 7);
+        c.append_row("t", row(), Some(2)).unwrap();
+        c.drop_table("T").unwrap();
+        c.register("T", table());
+        assert_eq!(base(&c), 1);
     }
 
     #[test]

@@ -359,12 +359,6 @@ struct SharedState {
     /// changes the shared cache's append behavior, so it cannot vary
     /// per session).
     maintenance: MaintenanceConfig,
-    /// Per-table base-build row counts under delta maintenance, keyed
-    /// by catalog key: rows `[0, main_rows)` were present when the
-    /// table's base partitioning was (re)built; rows past it are the
-    /// absorbed delta. Lock order: catalog before this map, always;
-    /// never held across a build or an evaluation.
-    delta: Mutex<HashMap<String, u64>>,
     /// The database's metrics registry. `Registry::default()` is
     /// disabled, so in-test `SharedState::default()` construction stays
     /// silent; [`PackageDb::with_config`] and [`PackageDb::open`]
@@ -548,13 +542,15 @@ impl PackageDb {
         let state = recovered.state;
 
         let mut catalog = Catalog::default();
-        let mut delta = HashMap::new();
         let recovered_tables = state.tables.len() as u64;
         for image in state.tables {
-            if config.maintenance.enabled {
-                delta.insert(Catalog::key(&image.name), image.main_rows);
-            }
-            catalog.restore(image.name, image.table, image.version);
+            // With maintenance off every build covers the whole table.
+            let main_rows = if config.maintenance.enabled {
+                image.main_rows
+            } else {
+                image.table.num_rows() as u64
+            };
+            catalog.restore(image.name, image.table, image.version, main_rows);
         }
         catalog.ensure_version_floor(state.last_version);
 
@@ -599,7 +595,6 @@ impl PackageDb {
             maintenance: config.maintenance,
             obs,
             obs_config: config.obs,
-            delta: Mutex::new(delta),
             ..SharedState::default()
         };
         Ok(PackageDb {
@@ -663,26 +658,17 @@ impl PackageDb {
             });
         };
         let catalog = self.shared.catalog.read();
-        let tables = {
-            // Delta lock after the catalog lock, released before any
-            // further work (see the lock-order note in
-            // `crate::durability`).
-            let delta = self.shared.delta.lock();
-            catalog
-                .names()
-                .iter()
-                .filter_map(|name| catalog.resolve(name).ok())
-                .map(|entry| TableImage {
-                    name: entry.name().to_owned(),
-                    version: entry.version(),
-                    main_rows: delta
-                        .get(&Catalog::key(entry.name()))
-                        .copied()
-                        .unwrap_or(entry.table().num_rows() as u64),
-                    table: entry.snapshot(),
-                })
-                .collect()
-        };
+        let tables = catalog
+            .names()
+            .iter()
+            .filter_map(|name| catalog.resolve(name).ok())
+            .map(|entry| TableImage {
+                name: entry.name().to_owned(),
+                version: entry.version(),
+                main_rows: entry.main_rows(),
+                table: entry.snapshot(),
+            })
+            .collect();
         let partitionings = self
             .shared
             .cache
@@ -884,16 +870,6 @@ impl PackageDb {
             let mut catalog = self.shared.catalog.write();
             let hold_start = Instant::now();
             let version = catalog.register(name.clone(), table);
-            if self.shared.maintenance.enabled {
-                // A replacement resets the delta base: the new contents
-                // are all "main", nothing is absorbed yet.
-                let rows = catalog
-                    .resolve(&name)
-                    .expect("just registered")
-                    .table()
-                    .num_rows();
-                self.shared.delta.lock().insert(key.clone(), rows as u64);
-            }
             if self.is_durable() {
                 let table = catalog.resolve(&name).expect("just registered").snapshot();
                 if self
@@ -924,6 +900,9 @@ impl PackageDb {
         let log_result = {
             let mut catalog = self.shared.catalog.write();
             let (entry, version) = catalog.drop_table(name)?;
+            // Evict by name while the name is still unregistrable: after
+            // the write lock a same-name table could already own entries.
+            self.shared.cache.invalidate_table(&Catalog::key(name));
             self.log_record(&WalRecord {
                 lsn: version,
                 op: WalOp::DropTable {
@@ -931,8 +910,6 @@ impl PackageDb {
                 },
             })
         };
-        self.shared.delta.lock().remove(&Catalog::key(name));
-        self.shared.cache.invalidate_table(&Catalog::key(name));
         self.maybe_auto_snapshot();
         log_result
     }
@@ -1001,17 +978,6 @@ impl PackageDb {
                 }
                 _ => Ok(()),
             };
-            // An arbitrary in-place mutation defeats delta tracking:
-            // reset the base to the full new contents (the next append
-            // starts a fresh delta).
-            if self.shared.maintenance.enabled && current.is_some() && before != current {
-                if let Ok(entry) = catalog.resolve(name) {
-                    self.shared
-                        .delta
-                        .lock()
-                        .insert(key.clone(), entry.table().num_rows() as u64);
-                }
-            }
             (result, current, log_result)
         };
         if let Some(version) = current {
@@ -1063,7 +1029,8 @@ impl PackageDb {
             let hold_start = Instant::now();
             let before = catalog.version_of(&key);
             let row_for_log = self.is_durable().then(|| row.clone());
-            let ((), version) = catalog.mutate(name, |t| t.push_row(row))?;
+            let (version, absorb) =
+                catalog.append_row(name, row, m.enabled.then_some(m.delta_threshold))?;
             let log_result = match row_for_log {
                 Some(row) => {
                     let display = catalog
@@ -1088,23 +1055,6 @@ impl PackageDb {
             };
             if m.enabled {
                 let table = catalog.resolve(name).expect("just mutated").snapshot();
-                let rows = table.num_rows() as u64;
-                // Same decision — and the same arithmetic — as WAL
-                // replay's `MaintenancePolicy`, so a recovered database
-                // lands on the same absorb/merge history.
-                let absorb = {
-                    let mut delta = self.shared.delta.lock();
-                    // A table registered before maintenance was enabled
-                    // has no entry; its base is everything up to this
-                    // append.
-                    let main = delta.entry(key.clone()).or_insert(rows - 1);
-                    if rows.saturating_sub(*main) <= m.delta_threshold {
-                        true
-                    } else {
-                        *main = rows;
-                        false
-                    }
-                };
                 if absorb {
                     let from = before.expect("append bumped an existing table");
                     let (patched, _evicted) =
@@ -1329,18 +1279,10 @@ impl PackageDb {
             // Under delta maintenance a cold build partitions only the
             // base prefix and replays the absorbed delta as ordered
             // patches, so it lands bit-identical to a cache entry
-            // patched live (see `obtain_partitioning`). The base is
-            // snapshotted with the version, under the same read lock.
-            let build_base = if self.shared.maintenance.enabled {
-                self.shared
-                    .delta
-                    .lock()
-                    .get(&key)
-                    .map(|&m| m as usize)
-                    .unwrap_or_else(|| entry.table().num_rows())
-            } else {
-                entry.table().num_rows()
-            };
+            // patched live (see `obtain_partitioning`). The base lives
+            // in the entry, so it is snapshotted with the version; with
+            // maintenance off it is always the whole table.
+            let build_base = entry.main_rows() as usize;
             (
                 entry.name().to_owned(),
                 key,

@@ -19,7 +19,9 @@
 //!   (when enabled) a background rebuild warms the cache instead;
 //! * on a durable database, WAL replay patches snapshot partitionings
 //!   with the same absorb arithmetic, so a restart straddling absorbed
-//!   appends still boots into `Hit`s with the same package.
+//!   appends still boots into `Hit`s with the same package;
+//! * dropping a table and registering another under its name starts a
+//!   fresh delta base, live and after recovery.
 //!
 //! REFINE thread count comes from `PAQ_THREADS` (default 4); CI sweeps
 //! 1 and 4 — the packages must be identical at every count.
@@ -335,6 +337,91 @@ fn durable_restart_replays_absorbed_appends_into_hits() {
             "zero cold rebuilds after restart: {cache:?}"
         );
     }
+}
+
+/// Register 48 rows, absorb three appends, drop, re-register 40 rows
+/// under the same name, then absorb exactly `delta_threshold` appends —
+/// every one a `Hit`, no merge yet. A durable database snapshots right
+/// after the re-registration's cold build, so the absorbs are its WAL
+/// suffix. Returns the package of the last query.
+fn drop_and_reregister_history(db: &PackageDb) -> paq_core::Package {
+    let query = query();
+    let hit_after_append = |salt: u64, n: u64| {
+        let mut last = None;
+        for (i, row) in append_rows(n as usize, salt).into_iter().enumerate() {
+            db.append_row("Items", row).unwrap();
+            let exec = db.execute_with(&query, Route::ForceSketchRefine).unwrap();
+            assert!(
+                matches!(exec.cache, CacheOutcome::Hit { .. }),
+                "append {i} (stream {salt:#x}) is within the threshold: {:?}",
+                exec.cache
+            );
+            last = Some(exec.package);
+        }
+        last.expect("at least one append")
+    };
+
+    db.register_table("Items", items(48));
+    let first = db.execute_with(&query, Route::ForceSketchRefine).unwrap();
+    assert!(matches!(first.cache, CacheOutcome::Miss { .. }));
+    hit_after_append(0xA11CE, 3);
+
+    db.drop_table("Items").unwrap();
+    db.register_table("items", items(40));
+    let rebuilt = db.execute_with(&query, Route::ForceSketchRefine).unwrap();
+    assert!(matches!(rebuilt.cache, CacheOutcome::Miss { .. }));
+    if db.is_durable() {
+        db.snapshot_now().unwrap();
+    }
+    let package = hit_after_append(0xB0B, db.maintenance_stats().delta_threshold);
+    assert_eq!(db.maintenance_stats().merges, 0);
+    package
+}
+
+#[test]
+fn drop_and_reregister_resets_the_base() {
+    let m = MaintenanceConfig {
+        enabled: true,
+        delta_threshold: 4,
+        background_rebuild: false,
+    };
+    let one_more = || append_rows(1, 0xC0DE).remove(0);
+
+    // Live: the first merge is append `delta_threshold + 1` counted
+    // from the re-registration, not from the dropped table's base.
+    let live = PackageDb::with_config(config(m));
+    let expected = drop_and_reregister_history(&live);
+    live.append_row("Items", one_more()).unwrap();
+    let stats = live.maintenance_stats();
+    assert_eq!(stats.merges, 1, "{stats:?}");
+    assert_eq!(stats.absorbed_appends, 3 + m.delta_threshold, "{stats:?}");
+
+    // Recovered: the same history reopens onto the same base, so the
+    // next query is served as the live one was and the next append
+    // merges.
+    let dir = TempDir::new("drop-reregister");
+    {
+        let db = PackageDb::open(config(m), Durability::new(dir.path())).unwrap();
+        assert_eq!(drop_and_reregister_history(&db), expected);
+    }
+    for replay_threads in [1usize, 4] {
+        let durability = Durability {
+            replay_threads,
+            ..Durability::new(dir.path())
+        };
+        let db = PackageDb::open(config(m), durability).unwrap();
+        let exec = db.execute_with(&query(), Route::ForceSketchRefine).unwrap();
+        assert!(
+            matches!(exec.cache, CacheOutcome::Hit { .. }),
+            "replay_threads {replay_threads}: {:?}",
+            exec.cache
+        );
+        assert_eq!(exec.package, expected, "replay_threads {replay_threads}");
+    }
+    let db = PackageDb::open(config(m), Durability::new(dir.path())).unwrap();
+    db.append_row("Items", one_more()).unwrap();
+    let stats = db.maintenance_stats();
+    assert_eq!((stats.merges, stats.absorbed_appends), (1, 0), "{stats:?}");
 }
 
 #[test]

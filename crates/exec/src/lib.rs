@@ -10,8 +10,7 @@
 //!   independent per-group ILPs against a snapshot of the package
 //!   state;
 //! * **offline partitioning** (`paq-partition`): per-leaf statistics of
-//!   the quad-tree build and the assignment step of the k-means
-//!   baseline.
+//!   the quad-tree build.
 //!
 //! Design points:
 //!

@@ -14,8 +14,8 @@
 //!   reads a trace during evaluation), so packages stay bit-identical
 //!   at any `PAQ_THREADS` with obs enabled (swept in CI);
 //! * **everything exports** — [`Registry::snapshot`] is an owned value
-//!   that crosses the wire (`Metrics` request, protocol v6) and renders
-//!   as [`prometheus`] text that parses back losslessly.
+//!   that crosses the wire (`Metrics` request) and renders as
+//!   [`prometheus`] text.
 //!
 //! See the workspace README's "Observability" section for the span-site
 //! table and the metric naming scheme.

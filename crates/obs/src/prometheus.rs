@@ -1,7 +1,5 @@
 //! Prometheus-style text exposition for a [`RegistrySnapshot`]:
-//! [`render`] produces the classic `# TYPE` / sample-line format, and
-//! [`parse`] reads it back — the CI round-trip check that the export is
-//! actually machine-readable, not write-only.
+//! [`render`] produces the classic `# TYPE` / sample-line format.
 //!
 //! Mapping choices:
 //!
@@ -11,23 +9,16 @@
 //! * histograms use the standard cumulative `_bucket{le="…"}` /
 //!   `_sum` / `_count` triple with nanosecond `le` bounds (one per
 //!   occupied log2 bucket, plus `+Inf`), and additionally emit exact
-//!   `_min` / `_max` gauges so the clamped quantiles survive the trip;
-//! * [`parse`] returns a [`RegistrySnapshot`] whose names are the
-//!   sanitized ones. `parse(render(s))` preserves every value, and
-//!   `render(parse(render(s))) == render(s)` exactly.
+//!   `_min` / `_max` gauges so a reader can clamp quantiles the way
+//!   [`crate::HistogramSnapshot`] does.
 
-use crate::histogram::{bucket_index, HistogramSnapshot};
 use crate::registry::RegistrySnapshot;
 use std::fmt::Write as _;
 
-/// `server.queue_wait` → `paq_server_queue_wait`. Idempotent: a name
-/// already carrying the `paq_` prefix (e.g. one produced by [`parse`])
-/// is not double-prefixed, so render → parse → render is a fixpoint.
+/// `server.queue_wait` → `paq_server_queue_wait`.
 pub fn sanitize(name: &str) -> String {
     let mut out = String::with_capacity(name.len() + 4);
-    if !name.starts_with("paq_") {
-        out.push_str("paq_");
-    }
+    out.push_str("paq_");
     for ch in name.chars() {
         if ch.is_ascii_alphanumeric() {
             out.push(ch);
@@ -69,112 +60,6 @@ pub fn render(snapshot: &RegistrySnapshot) -> String {
     out
 }
 
-/// Parse text produced by [`render`] back into a snapshot (names come
-/// back sanitized). Unknown or malformed lines are errors — the CI
-/// round-trip must fail loudly if the exposition drifts.
-pub fn parse(text: &str) -> Result<RegistrySnapshot, String> {
-    let mut snapshot = RegistrySnapshot::default();
-    let mut lines = text.lines().peekable();
-    while let Some(line) = lines.next() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let Some(rest) = line.strip_prefix("# TYPE ") else {
-            return Err(format!("expected a # TYPE line, got {line:?}"));
-        };
-        let (name, kind) = rest
-            .split_once(' ')
-            .ok_or_else(|| format!("malformed TYPE line {line:?}"))?;
-        match kind {
-            "counter" => {
-                let value = sample(lines.next(), name)?;
-                snapshot.counters.push((
-                    name.to_owned(),
-                    value
-                        .parse()
-                        .map_err(|e| format!("counter {name}: bad value ({e})"))?,
-                ));
-            }
-            "gauge" => {
-                let value = sample(lines.next(), name)?;
-                snapshot.gauges.push((
-                    name.to_owned(),
-                    value
-                        .parse()
-                        .map_err(|e| format!("gauge {name}: bad value ({e})"))?,
-                ));
-            }
-            "histogram" => {
-                let h = parse_histogram(name, &mut lines)?;
-                snapshot.histograms.push((name.to_owned(), h));
-            }
-            other => return Err(format!("unknown metric type {other:?}")),
-        }
-    }
-    Ok(snapshot)
-}
-
-/// Extract the value of a `name value` sample line.
-fn sample<'l>(line: Option<&'l str>, name: &str) -> Result<&'l str, String> {
-    let line = line
-        .ok_or_else(|| format!("missing sample line for {name}"))?
-        .trim();
-    let (sample_name, value) = line
-        .split_once(' ')
-        .ok_or_else(|| format!("malformed sample line {line:?}"))?;
-    if sample_name != name {
-        return Err(format!("expected sample for {name}, got {sample_name}"));
-    }
-    Ok(value)
-}
-
-fn parse_u64(text: &str, what: &str) -> Result<u64, String> {
-    text.parse()
-        .map_err(|e| format!("{what}: bad number {text:?} ({e})"))
-}
-
-fn parse_histogram(
-    name: &str,
-    lines: &mut std::iter::Peekable<std::str::Lines<'_>>,
-) -> Result<HistogramSnapshot, String> {
-    let mut h = HistogramSnapshot::default();
-    let mut cumulative = 0u64;
-    let bucket_prefix = format!("{name}_bucket{{le=\"");
-    // Cumulative bucket lines, ending with +Inf.
-    loop {
-        let line = lines
-            .next()
-            .ok_or_else(|| format!("histogram {name}: truncated buckets"))?
-            .trim();
-        let Some(rest) = line.strip_prefix(&bucket_prefix) else {
-            return Err(format!(
-                "histogram {name}: expected bucket line, got {line:?}"
-            ));
-        };
-        let (le, count) = rest
-            .split_once("\"} ")
-            .ok_or_else(|| format!("histogram {name}: malformed bucket {line:?}"))?;
-        let total = parse_u64(count, name)?;
-        if le == "+Inf" {
-            break;
-        }
-        let upper = parse_u64(le, name)?;
-        let in_bucket = total
-            .checked_sub(cumulative)
-            .ok_or_else(|| format!("histogram {name}: non-monotone buckets"))?;
-        if in_bucket > 0 {
-            h.buckets.push((bucket_index(upper) as u8, in_bucket));
-        }
-        cumulative = total;
-    }
-    h.sum = parse_u64(sample(lines.next(), &format!("{name}_sum"))?, name)?;
-    h.count = parse_u64(sample(lines.next(), &format!("{name}_count"))?, name)?;
-    h.min = parse_u64(sample(lines.next(), &format!("{name}_min"))?, name)?;
-    h.max = parse_u64(sample(lines.next(), &format!("{name}_max"))?, name)?;
-    Ok(h)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,7 +70,7 @@ mod tests {
         r.add("server.requests", 12);
         r.incr("db.cache.hit");
         r.set_gauge("db.tables", 3);
-        for v in [150u64, 900, 2_000, 2_500, 70_000] {
+        for v in [150u64, 900, 2_100, 2_500, 70_000] {
             r.observe_nanos("server.handle", v);
         }
         r.observe_nanos("refine.wave", 0);
@@ -193,26 +78,34 @@ mod tests {
     }
 
     #[test]
-    fn render_parse_round_trip_preserves_values() {
-        let snapshot = sample_snapshot();
-        let text = render(&snapshot);
-        let parsed = parse(&text).expect("exposition parses back");
-        assert_eq!(parsed.counter("paq_server_requests"), 12);
-        assert_eq!(parsed.counter("paq_db_cache_hit"), 1);
-        assert_eq!(parsed.gauges, vec![("paq_db_tables".to_owned(), 3)]);
-        let original = snapshot.histogram("server.handle").unwrap();
-        let roundtripped = parsed.histogram("paq_server_handle").unwrap();
-        assert_eq!(roundtripped, original);
-        assert_eq!(roundtripped.p99(), original.p99());
-        // A second trip is the identity on the text itself.
-        assert_eq!(render(&parsed), text);
-    }
-
-    #[test]
-    fn rejects_garbage() {
-        assert!(parse("not an exposition").is_err());
-        assert!(parse("# TYPE x counter\ny 1").is_err());
-        assert!(parse("# TYPE x histogram\nx_sum 1").is_err());
+    fn render_emits_typed_samples_and_cumulative_buckets() {
+        let text = render(&sample_snapshot());
+        let lines: Vec<&str> = text.lines().collect();
+        let after = |header: &str| {
+            let at = lines.iter().position(|l| *l == header);
+            &lines[at.unwrap_or_else(|| panic!("{header:?} missing in:\n{text}")) + 1..]
+        };
+        assert_eq!(
+            after("# TYPE paq_server_requests counter")[0],
+            "paq_server_requests 12"
+        );
+        assert_eq!(after("# TYPE paq_db_tables gauge")[0], "paq_db_tables 3");
+        // 2 100 and 2 500 share a log2 bucket: four occupied buckets with
+        // cumulative counts, then +Inf and the exact extremes.
+        assert_eq!(
+            &after("# TYPE paq_server_handle histogram")[..9],
+            [
+                "paq_server_handle_bucket{le=\"255\"} 1",
+                "paq_server_handle_bucket{le=\"1023\"} 2",
+                "paq_server_handle_bucket{le=\"4095\"} 4",
+                "paq_server_handle_bucket{le=\"131071\"} 5",
+                "paq_server_handle_bucket{le=\"+Inf\"} 5",
+                "paq_server_handle_sum 75650",
+                "paq_server_handle_count 5",
+                "paq_server_handle_min 150",
+                "paq_server_handle_max 70000",
+            ]
+        );
     }
 
     #[test]

@@ -18,20 +18,14 @@
 //!   representative-relation builder, and sub-sampling (`restrict`) used
 //!   by the scalability experiments to derive smaller datasets while
 //!   preserving the size condition (§5.2.1).
-//! * [`kmeans`] — a Lloyd's-iteration baseline partitioner. The paper
-//!   discusses why off-the-shelf clustering (k-means et al.) fits
-//!   poorly (no τ/ω control); this implementation exists to make that
-//!   comparison measurable.
 //! * [`PartitionConfig::omega_for_epsilon`] — the Theorem 3 radius
 //!   derivation (Eq. 1) mapping a desired approximation `ε` to a radius
 //!   limit `ω`.
 
 pub mod config;
-pub mod kmeans;
 pub mod partitioning;
 pub mod quadtree;
 
 pub use config::PartitionConfig;
-pub use kmeans::{kmeans_partition, kmeans_partition_with_pool, KMeansConfig};
 pub use partitioning::{Group, Partitioning};
 pub use quadtree::{Partitioner, QuadTree};

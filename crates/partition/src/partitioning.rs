@@ -1,6 +1,5 @@
 //! The flat partitioning artifact used at query time.
 
-use std::collections::HashMap;
 use std::time::Duration;
 
 use paq_relational::schema::{ColumnDef, DataType, Schema};
@@ -180,41 +179,6 @@ impl Partitioning {
         })
     }
 
-    /// Map each row to its group id; rows not covered map to `None`
-    /// (possible only for malformed partitionings — asserted in tests).
-    pub fn gid_of_rows(&self, num_rows: usize) -> Vec<Option<i64>> {
-        let mut out = vec![None; num_rows];
-        for g in &self.groups {
-            for &r in &g.rows {
-                out[r] = Some(g.gid);
-            }
-        }
-        out
-    }
-
-    /// Append/overwrite a `gid` column on `table` (the paper's
-    /// materialized representation of a partitioning).
-    pub fn apply_gid_column(&self, table: &mut Table) -> RelResult<()> {
-        let gids = self.gid_of_rows(table.num_rows());
-        let values: Vec<Value> = gids
-            .into_iter()
-            .map(|g| g.map_or(Value::Null, Value::Int))
-            .collect();
-        if table.schema().contains(GID_COLUMN) {
-            let col = table.column_mut(GID_COLUMN)?;
-            *col = {
-                let mut c = paq_relational::Column::new(DataType::Int);
-                for v in values {
-                    c.push(v)?;
-                }
-                c
-            };
-            Ok(())
-        } else {
-            table.add_column(ColumnDef::new(GID_COLUMN, DataType::Int), values)
-        }
-    }
-
     /// Group lookup by gid.
     pub fn group(&self, gid: i64) -> Option<&Group> {
         self.groups.iter().find(|g| g.gid == gid)
@@ -322,7 +286,7 @@ impl Partitioning {
 }
 
 /// Compute centroid coordinates and radius for a row set over cached
-/// attribute columns (NULLs skipped, as in the group-by substrate).
+/// attribute columns (NULLs skipped, as SQL aggregates do).
 pub(crate) fn centroid_and_radius(
     columns: &[&paq_relational::Column],
     rows: &[usize],
@@ -347,11 +311,6 @@ pub(crate) fn centroid_and_radius(
         centroid.push(mean);
     }
     (centroid, radius)
-}
-
-/// Convenience: group sizes keyed by gid.
-pub fn group_sizes(p: &Partitioning) -> HashMap<i64, usize> {
-    p.groups.iter().map(|g| (g.gid, g.size())).collect()
 }
 
 #[cfg(test)]
@@ -399,7 +358,6 @@ mod tests {
         assert_eq!(p.max_group_size(), 2);
         assert_eq!(p.max_radius(), 1.0);
         assert!(p.is_disjoint_cover(4));
-        assert_eq!(group_sizes(&p)[&2], 2);
     }
 
     #[test]
@@ -468,18 +426,6 @@ mod tests {
         let keep = vec![true, true, true, false];
         let r = p.restrict(&t, &keep).unwrap();
         assert!(r.max_group_size() <= p.max_group_size());
-    }
-
-    #[test]
-    fn apply_gid_column_writes_assignments() {
-        let mut t = table();
-        let p = partitioning();
-        p.apply_gid_column(&mut t).unwrap();
-        assert_eq!(t.value(0, GID_COLUMN).unwrap(), Value::Int(1));
-        assert_eq!(t.value(3, GID_COLUMN).unwrap(), Value::Int(2));
-        // Idempotent re-apply (overwrite path).
-        p.apply_gid_column(&mut t).unwrap();
-        assert_eq!(t.value(2, GID_COLUMN).unwrap(), Value::Int(2));
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Column aggregates.
 //!
 //! These are the relational aggregates that PaQL lifts to the package
-//! level (`COUNT`, `SUM`, `AVG`, `MIN`, `MAX`). They are used in two
-//! places: (1) computing the objective/constraint values of a
-//! materialized package, and (2) the partitioner's centroid queries.
+//! level (`COUNT`, `SUM`, `AVG`, `MIN`, `MAX`); the engine uses them to
+//! compute the objective/constraint values of a materialized package.
 //!
 //! NULL handling follows SQL: NULLs are skipped; `SUM`/`MIN`/`MAX`/`AVG`
 //! of an all-NULL (or empty) input is NULL; `COUNT(*)` counts rows,
@@ -139,13 +138,6 @@ pub fn aggregate(table: &Table, f: AggFunc, column: &str) -> RelResult<Value> {
     Ok(aggregate_column(table.column(column)?, f))
 }
 
-/// SUM of a column restricted to the rows at `indices` (with repetition
-/// — exactly how a package's aggregate value is computed from its
-/// member indices without materializing the package).
-pub fn sum_at(col: &Column, indices: &[usize]) -> f64 {
-    indices.iter().filter_map(|&i| col.f64_at(i)).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,16 +194,6 @@ mod tests {
         let mut nulls = Table::new(Schema::from_pairs(&[("x", DataType::Float)]));
         nulls.push_row(vec![Value::Null]).unwrap();
         assert_eq!(aggregate(&nulls, AggFunc::Min, "x").unwrap(), Value::Null);
-    }
-
-    #[test]
-    fn sum_at_respects_multiplicity() {
-        let t = table();
-        let col = t.column("x").unwrap();
-        // Tuple 1 twice + tuple 0 once = 4+4+1
-        assert_eq!(sum_at(col, &[1, 1, 0]), 9.0);
-        // NULL contributes nothing
-        assert_eq!(sum_at(col, &[2, 2]), 0.0);
     }
 
     #[test]

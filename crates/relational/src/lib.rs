@@ -11,8 +11,7 @@
 //! * typed values ([`Value`]) and schemas ([`Schema`]),
 //! * columnar tables ([`Table`]) with append / filter / project / take,
 //! * a scalar expression language ([`Expr`]) for base (`WHERE`) predicates,
-//! * aggregation ([`agg`]) and group-by ([`groupby`]) used by the offline
-//!   partitioner's centroid/radius queries,
+//! * column aggregates ([`agg`]) for evaluating a materialized package,
 //! * CSV import/export ([`csv`]) for persisting datasets and packages,
 //! * the byte codec ([`codec`]) every wire frame, WAL record and snapshot
 //!   image serialises tables, schemas and values with.
@@ -27,7 +26,6 @@ pub mod codec;
 pub mod csv;
 pub mod error;
 pub mod expr;
-pub mod groupby;
 pub mod schema;
 pub mod table;
 pub mod value;

@@ -469,13 +469,6 @@ impl Table {
         Ok(&self.columns[self.schema.index_of(name)?])
     }
 
-    /// Mutable access to a named column (used by the partitioner to
-    /// rewrite `gid` assignments in place).
-    pub fn column_mut(&mut self, name: &str) -> RelResult<&mut Column> {
-        let idx = self.schema.index_of(name)?;
-        Ok(&mut self.columns[idx])
-    }
-
     /// The cell at (`row`, column `name`).
     pub fn value(&self, row: usize, name: &str) -> RelResult<Value> {
         Ok(self.column(name)?.get(row))
@@ -724,15 +717,11 @@ mod tests {
     }
 
     #[test]
-    fn add_column_and_mutate() {
+    fn add_column_appends_a_named_column() {
         let mut t = recipes();
         t.add_column(ColumnDef::new("gid", DataType::Int), vec![Value::Int(1); 4])
             .unwrap();
         assert_eq!(t.value(2, "gid").unwrap(), Value::Int(1));
-        if let Column::Int { data, .. } = t.column_mut("gid").unwrap() {
-            data[2] = 7;
-        }
-        assert_eq!(t.value(2, "gid").unwrap(), Value::Int(7));
     }
 
     #[test]

@@ -1,10 +1,8 @@
 //! Property-based tests for the relational substrate: CSV round trips,
-//! filter/take algebra, aggregate consistency, and group-by invariants
-//! on arbitrary data.
+//! filter/take algebra and aggregate consistency on arbitrary data.
 
 use paq_relational::agg::{aggregate, AggFunc};
 use paq_relational::csv::{read_csv, write_csv};
-use paq_relational::groupby::group_stats;
 use paq_relational::{DataType, Expr, Schema, Table, Value};
 use proptest::prelude::*;
 
@@ -80,31 +78,6 @@ proptest! {
         let s_l = aggregate(&t.take(&left), AggFunc::Sum, "x").unwrap().as_f64().unwrap_or(0.0);
         let s_r = aggregate(&t.take(&right), AggFunc::Sum, "x").unwrap().as_f64().unwrap_or(0.0);
         prop_assert!((s_all - (s_l + s_r)).abs() < 1e-6 * (1.0 + s_all.abs()));
-    }
-
-    /// group_stats partitions rows, and group sizes sum to the number
-    /// of rows with non-NULL keys; per-group means lie inside the
-    /// group's min/max.
-    #[test]
-    fn group_stats_invariants(
-        rows in prop::collection::vec((0i64..6, -100.0f64..100.0), 0..60),
-    ) {
-        let mut t = Table::new(Schema::from_pairs(&[
-            ("gid", DataType::Int),
-            ("x", DataType::Float),
-        ]));
-        for (g, x) in &rows {
-            t.push_row(vec![Value::Int(*g), Value::Float(*x)]).unwrap();
-        }
-        let stats = group_stats(&t, "gid", &["x"]).unwrap();
-        let total: usize = stats.iter().map(|g| g.size).sum();
-        prop_assert_eq!(total, rows.len());
-        for g in &stats {
-            let a = &g.attrs[0];
-            prop_assert!(a.mean >= a.min - 1e-9);
-            prop_assert!(a.mean <= a.max + 1e-9);
-            prop_assert!(g.radius() >= 0.0);
-        }
     }
 
     /// `take` then `take` composes (multiset semantics preserved).

@@ -2,8 +2,8 @@
 //! back the *whole stack's* registry — server-side queue-wait/handle
 //! latencies next to the engine's route counters and the solver's
 //! figures — with percentiles readable straight off the histogram
-//! snapshots, and the snapshot must survive a Prometheus
-//! render → parse → render round trip losslessly. Also pins the
+//! snapshots, and the snapshot must render as Prometheus exposition
+//! lines carrying the same figures. Also pins the
 //! obs-disabled contract: the same request answers with an *empty*
 //! snapshot instead of an error.
 
@@ -67,6 +67,9 @@ fn metrics_round_trip_carries_server_and_engine_figures() {
     // into the same registry, so solver figures ride the same wire
     // snapshot.
     db.set_telemetry(std::sync::Arc::new(paq_db::Telemetry::default()));
+    // The engine sets no gauge of its own; one set on the shared registry
+    // shows the gauge section crossing the wire too.
+    db.obs_registry().set_gauge("test.tables", 1);
     serve_and(db, |client| {
         for _ in 0..4 {
             client.execute(QUERY).expect("remote execution");
@@ -105,12 +108,25 @@ fn metrics_round_trip_carries_server_and_engine_figures() {
         assert!(counter("server.requests") >= 4);
         assert!(counter("solver.calls") > 0, "solver figures ride along");
 
-        // The wire snapshot renders to Prometheus text and parses back
-        // losslessly (render ∘ parse is the identity on rendered text).
+        // The wire snapshot renders as exposition lines carrying the
+        // same figures: a counter, a gauge, and one histogram's triple.
         let text = paq_obs::prometheus::render(&snapshot);
-        assert!(text.contains("paq_server_handle"), "{text}");
-        let reparsed = paq_obs::prometheus::parse(&text).expect("own exposition parses");
-        assert_eq!(paq_obs::prometheus::render(&reparsed), text);
+        let handle = snapshot.histogram("server.handle").expect("checked above");
+        for line in [
+            "# TYPE paq_db_execute_sketchrefine counter".to_owned(),
+            "paq_db_execute_sketchrefine 4".to_owned(),
+            "# TYPE paq_test_tables gauge".to_owned(),
+            "paq_test_tables 1".to_owned(),
+            "# TYPE paq_server_handle histogram".to_owned(),
+            format!("paq_server_handle_bucket{{le=\"+Inf\"}} {}", handle.count),
+            format!("paq_server_handle_sum {}", handle.sum),
+            format!("paq_server_handle_count {}", handle.count),
+        ] {
+            assert!(
+                text.lines().any(|l| l == line),
+                "{line:?} missing in:\n{text}"
+            );
+        }
     });
 }
 
