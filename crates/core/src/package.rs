@@ -10,7 +10,7 @@
 
 use paq_lang::ast::{AggExpr, AggTerm, GlobalPredicate, PackageQuery};
 use paq_relational::agg::AggFunc;
-use paq_relational::{RelResult, Table};
+use paq_relational::{Expr, RelResult, Table};
 
 use crate::error::{EngineError, EngineResult};
 
@@ -126,32 +126,36 @@ impl Package {
             AggExpr::Avg(attr) => self.aggregate(table, AggFunc::Avg, attr)?,
             AggExpr::CountWhere(filter) => {
                 let mut total = 0.0;
-                for &(row, mult) in &self.members {
-                    if filter
-                        .eval_bool(table, row)
-                        .map_err(EngineError::Relational)?
-                        .unwrap_or(false)
-                    {
-                        total += mult as f64;
-                    }
+                for (_, mult) in self.members_where(table, filter)? {
+                    total += mult as f64;
                 }
                 total
             }
             AggExpr::SumWhere(attr, filter) => {
                 let col = table.column(attr).map_err(EngineError::Relational)?;
                 let mut total = 0.0;
-                for &(row, mult) in &self.members {
-                    if filter
-                        .eval_bool(table, row)
-                        .map_err(EngineError::Relational)?
-                        .unwrap_or(false)
-                    {
-                        total += col.f64_at(row).unwrap_or(0.0) * mult as f64;
-                    }
+                for (row, mult) in self.members_where(table, filter)? {
+                    total += col.f64_at(row).unwrap_or(0.0) * mult as f64;
                 }
                 total
             }
         })
+    }
+
+    /// The members whose row satisfies `filter`, in row order. The
+    /// filter is bound once, and only when there is a member to test.
+    fn members_where(&self, table: &Table, filter: &Expr) -> EngineResult<Vec<(usize, u64)>> {
+        if self.members.is_empty() {
+            return Ok(Vec::new());
+        }
+        let filter = filter.bind(table.schema())?;
+        let mut out = Vec::new();
+        for &(row, mult) in &self.members {
+            if filter.test(table, row)? == Some(true) {
+                out.push((row, mult));
+            }
+        }
+        Ok(out)
     }
 
     /// The query's objective value for this package (0 for vacuous
@@ -172,13 +176,13 @@ impl Package {
                 return Ok(false);
             }
         }
-        if let Some(w) = &query.where_clause {
+        if let (Some(w), false) = (&query.where_clause, self.members.is_empty()) {
+            // Bound only when there is a member to test. Stops at the
+            // first member outside the base relation, before any later
+            // member is evaluated.
+            let w = w.bind(table.schema())?;
             for &(row, _) in &self.members {
-                if !w
-                    .eval_bool(table, row)
-                    .map_err(EngineError::Relational)?
-                    .unwrap_or(false)
-                {
+                if w.test(table, row)? != Some(true) {
                     return Ok(false);
                 }
             }

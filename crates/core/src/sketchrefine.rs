@@ -27,10 +27,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use paq_exec::ThreadPool;
-use paq_lang::{base_relation_rows, linear_system, LinearSystem, PackageQuery};
+use paq_lang::{linear_system, LinearSystem, PackageQuery, PaqlError};
 use paq_partition::partitioning::GID_COLUMN;
 use paq_partition::{PartitionConfig, Partitioner, Partitioning};
-use paq_relational::Table;
+use paq_relational::{Predicate, RowMask, Table};
 use paq_solver::{LimitKind, MilpSolver, Model, SolveOutcome, SolverConfig, Telemetry};
 
 use crate::error::{EngineError, EngineResult};
@@ -395,6 +395,16 @@ impl Evaluator for SketchRefine {
     }
 }
 
+/// How [`Session::new`] applies the base predicate to each group.
+enum BaseFilter {
+    /// No `WHERE` clause (or no rows): every row qualifies.
+    All,
+    /// An infallible predicate, evaluated once over the whole table.
+    Mask(RowMask),
+    /// A predicate that may fail, tested row by row in group order.
+    Rows(Predicate),
+}
+
 /// A group after base-predicate filtering.
 struct EffGroup {
     /// Qualifying row indices.
@@ -496,13 +506,49 @@ impl<'a> Session<'a> {
         partitioning: &Partitioning,
         pool: Option<Arc<ThreadPool>>,
     ) -> EngineResult<Self> {
-        // Base-predicate filtering per group (the paper pre-processes
-        // base predicates with a standard SQL query, §5.1).
-        let mut groups = Vec::new();
+        // Base-predicate filtering (the paper pre-processes base
+        // predicates with a standard SQL query, §5.1). The WHERE clause is
+        // bound once. An infallible one is evaluated over the whole table
+        // a column and 64 rows at a time, and each group keeps its rows
+        // by probing that mask; a fallible one is tested row by row in
+        // group order, so the first error is the row path's. Either way
+        // every group keeps the same rows in the same order.
+        let filter = match &query.where_clause {
+            Some(w) if partitioning.num_rows() > 0 => {
+                let pred = w.bind(table.schema()).map_err(PaqlError::from)?;
+                if pred.is_infallible() {
+                    BaseFilter::Mask(pred.select(table).map_err(PaqlError::from)?)
+                } else {
+                    BaseFilter::Rows(pred)
+                }
+            }
+            _ => BaseFilter::All,
+        };
+        // The filtered groups, numbered densely: the partitioning whose
+        // group means form the representative relation.
+        let mut eff_partitioning = Partitioning {
+            attributes: Vec::new(),
+            groups: Vec::new(),
+            build_time: Duration::ZERO,
+        };
         for g in &partitioning.groups {
-            let rows = base_relation_rows(query, table, &g.rows)?;
+            let rows = match &filter {
+                BaseFilter::All => g.rows.clone(),
+                BaseFilter::Mask(mask) => g
+                    .rows
+                    .iter()
+                    .copied()
+                    .filter(|&r| mask.contains(r))
+                    .collect(),
+                BaseFilter::Rows(pred) => pred.filter(table, &g.rows).map_err(PaqlError::from)?,
+            };
             if !rows.is_empty() {
-                groups.push(EffGroup { rows });
+                eff_partitioning.groups.push(paq_partition::Group {
+                    gid: eff_partitioning.groups.len() as i64 + 1,
+                    rows,
+                    representative: Vec::new(),
+                    radius: 0.0,
+                });
             }
         }
 
@@ -512,25 +558,15 @@ impl<'a> Session<'a> {
         // Representative relation over the *filtered* groups: group
         // means of every query attribute (this also covers partitionings
         // whose attributes differ from the query's — §5.2.3).
-        let eff_partitioning = Partitioning {
-            attributes: Vec::new(),
-            groups: groups
-                .iter()
-                .enumerate()
-                .map(|(j, g)| paq_partition::Group {
-                    gid: j as i64 + 1,
-                    rows: g.rows.clone(),
-                    representative: Vec::new(),
-                    radius: 0.0,
-                })
-                .collect(),
-            build_time: Duration::ZERO,
-        };
         let mut attrs = query.query_attributes();
         attrs.retain(|a| a != GID_COLUMN);
         let rep_table = eff_partitioning.representative_table(table, &attrs)?;
         let rep_rows: Vec<usize> = (0..rep_table.num_rows()).collect();
         let rep_system = linear_system(&stripped, &rep_table, &rep_rows)?;
+        let mut groups = Vec::with_capacity(eff_partitioning.groups.len());
+        for g in eff_partitioning.groups {
+            groups.push(EffGroup { rows: g.rows });
+        }
 
         let num_rows = rep_system.rows.len();
         // Provisional budget covering the sketch phase; `run`

@@ -578,6 +578,13 @@ mod tests {
         let q = parse_paql(RUNNING_EXAMPLE).unwrap();
         let q2 = parse_paql(&q.to_string()).unwrap();
         assert_eq!(q, q2);
+        // A quote inside a string literal prints escaped as `''`.
+        let quoted = parse_paql(
+            "SELECT PACKAGE(R) AS P FROM Recipes R WHERE R.name = 'it''s' \
+             SUCH THAT COUNT(P.*) = 1",
+        )
+        .unwrap();
+        assert_eq!(parse_paql(&quoted.to_string()).unwrap(), quoted);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!    `max Σ 0·x_i` when absent.
 
 use paq_relational::expr::CmpOp;
-use paq_relational::Table;
+use paq_relational::{Expr, Table};
 use paq_solver::{Model, Sense, VarId};
 
 use crate::ast::{AggExpr, AggTerm, GlobalPredicate, ObjectiveSense, PackageQuery};
@@ -81,23 +81,21 @@ pub fn translate_over(
 }
 
 /// Row indices of `candidates` surviving the query's base predicate
-/// (rule 2 — the base relation `R_β`).
+/// (rule 2 — the base relation `R_β`), in candidate order.
+///
+/// The `WHERE` clause is bound to the table's schema once and each
+/// candidate is tested with [`Predicate::test`](paq_relational::Predicate::test);
+/// with no candidates nothing is bound, so the result is `Ok` and empty.
 pub fn base_relation_rows(
     query: &PackageQuery,
     table: &Table,
     candidates: &[usize],
 ) -> PaqlResult<Vec<usize>> {
     match &query.where_clause {
-        None => Ok(candidates.to_vec()),
-        Some(pred) => {
-            let mut keep = Vec::new();
-            for &i in candidates {
-                if pred.eval_bool(table, i)?.unwrap_or(false) {
-                    keep.push(i);
-                }
-            }
-            Ok(keep)
+        Some(pred) if !candidates.is_empty() => {
+            Ok(pred.bind(table.schema())?.filter(table, candidates)?)
         }
+        _ => Ok(candidates.to_vec()),
     }
 }
 
@@ -235,15 +233,13 @@ fn agg_coefs(table: &Table, rows: &[usize], agg: &AggExpr) -> PaqlResult<Vec<f64
             }
         }
         AggExpr::CountWhere(filter) => {
-            for &row in rows {
-                let hit = filter.eval_bool(table, row)?.unwrap_or(false);
+            for hit in filter_hits(table, rows, filter)? {
                 out.push(if hit { 1.0 } else { 0.0 });
             }
         }
         AggExpr::SumWhere(attr, filter) => {
             let col = table.column(attr)?;
-            for &row in rows {
-                let hit = filter.eval_bool(table, row)?.unwrap_or(false);
+            for (&row, hit) in rows.iter().zip(filter_hits(table, rows, filter)?) {
                 out.push(if hit {
                     col.f64_at(row).unwrap_or(0.0)
                 } else {
@@ -260,6 +256,18 @@ fn agg_coefs(table: &Table, rows: &[usize], agg: &AggExpr) -> PaqlResult<Vec<f64
         }
     }
     Ok(out)
+}
+
+/// Whether each row satisfies a subquery's `filter`. The filter is bound
+/// once, and only when there is a row to test.
+fn filter_hits(table: &Table, rows: &[usize], filter: &Expr) -> PaqlResult<Vec<bool>> {
+    if rows.is_empty() {
+        return Ok(Vec::new());
+    }
+    let filter = filter.bind(table.schema())?;
+    rows.iter()
+        .map(|&row| Ok(filter.test(table, row)? == Some(true)))
+        .collect()
 }
 
 /// Coefficients for the AVG linearization `Σ (attr_i − v) x_i`.
@@ -622,6 +630,21 @@ mod tests {
             .solve(&tr.model)
             .outcome;
         assert_eq!(out.solution().unwrap().objective, 5.0);
+    }
+
+    #[test]
+    fn base_relation_keeps_candidate_order_and_duplicates() {
+        let table = recipes();
+        let q =
+            parse_paql("SELECT PACKAGE(R) AS P FROM Recipes R WHERE R.gluten = 'free'").unwrap();
+        assert_eq!(
+            base_relation_rows(&q, &table, &[5, 1, 0, 5, 3, 1]).unwrap(),
+            vec![5, 0, 5, 3]
+        );
+        // No candidate, nothing bound: even an unknown column is `Ok`.
+        let ghost = parse_paql("SELECT PACKAGE(R) AS P FROM Recipes R WHERE R.ghost > 0").unwrap();
+        assert_eq!(base_relation_rows(&ghost, &table, &[]).unwrap(), vec![]);
+        assert!(base_relation_rows(&ghost, &table, &[0]).is_err());
     }
 
     #[test]

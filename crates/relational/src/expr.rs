@@ -2,15 +2,30 @@
 //!
 //! These expressions implement the *base predicates* of PaQL — the
 //! `WHERE` clause that each tuple must satisfy individually (§2.1 of the
-//! paper) — as well as general row-level arithmetic used by derived
-//! attributes in the data generators.
+//! paper) — and the filters of `(SELECT COUNT(*) | SUM(attr) FROM P
+//! WHERE …)` subqueries. Arithmetic may appear inside a predicate.
+//!
+//! An [`Expr`] names its columns; it is evaluated only after
+//! [`Expr::bind`] has resolved every name against a schema, once, into a
+//! [`Predicate`]. The bound tree has two evaluators:
+//!
+//! * [`Predicate::test`] evaluates one row with typed cell access — the
+//!   path for candidate lists (a group's rows, a package's members, the
+//!   rows of one refine subproblem) and for any tree that can fail;
+//! * [`Predicate::select`] evaluates a whole table. Infallible trees
+//!   (comparisons, `BETWEEN` and `IS [NOT] NULL` over columns and
+//!   literals, Bool columns, `AND`/`OR`/`NOT`) run 64 rows a word, one
+//!   column at a time; any other tree falls back to `test` in row order.
 //!
 //! Evaluation follows SQL three-valued logic: comparisons involving NULL
 //! are *unknown* (`None`), `AND`/`OR`/`NOT` propagate unknown per SQL, and
 //! a `WHERE` clause selects a row only when the predicate is *true*.
+//! Binding reports an unknown column even when no row would have reached
+//! it; callers therefore bind only when at least one row is evaluated.
 
 use crate::error::RelResult;
-use crate::table::Table;
+use crate::predicate::Predicate;
+use crate::schema::Schema;
 use crate::value::Value;
 
 /// Comparison operators.
@@ -177,70 +192,12 @@ impl Expr {
         Expr::Arith(Box::new(self), BinOp::Div, Box::new(rhs))
     }
 
-    /// Evaluate to a [`Value`] against row `row` of `table`.
-    pub fn eval(&self, table: &Table, row: usize) -> RelResult<Value> {
-        match self {
-            Expr::Col(name) => table.value(row, name),
-            Expr::Lit(v) => Ok(v.clone()),
-            Expr::Arith(l, op, r) => {
-                let a = l.eval(table, row)?;
-                let b = r.eval(table, row)?;
-                match op {
-                    BinOp::Add => a.add(&b),
-                    BinOp::Sub => a.sub(&b),
-                    BinOp::Mul => a.mul(&b),
-                    BinOp::Div => a.div(&b),
-                }
-            }
-            Expr::Cmp(..)
-            | Expr::Between(..)
-            | Expr::And(..)
-            | Expr::Or(..)
-            | Expr::Not(..)
-            | Expr::IsNull(..)
-            | Expr::IsNotNull(..) => Ok(match self.eval_bool(table, row)? {
-                Some(b) => Value::Bool(b),
-                None => Value::Null,
-            }),
-        }
-    }
-
-    /// Evaluate as a predicate with three-valued logic:
-    /// `Some(true)` / `Some(false)` / `None` (= SQL unknown).
-    pub fn eval_bool(&self, table: &Table, row: usize) -> RelResult<Option<bool>> {
-        match self {
-            Expr::Cmp(l, op, r) => {
-                let a = l.eval(table, row)?;
-                let b = r.eval(table, row)?;
-                Ok(a.sql_cmp(&b).map(|ord| op.test(ord)))
-            }
-            Expr::Between(x, lo, hi) => {
-                let v = x.eval(table, row)?;
-                let l = lo.eval(table, row)?;
-                let h = hi.eval(table, row)?;
-                let ge = v.sql_cmp(&l).map(|o| o != std::cmp::Ordering::Less);
-                let le = v.sql_cmp(&h).map(|o| o != std::cmp::Ordering::Greater);
-                Ok(and3(ge, le))
-            }
-            Expr::And(l, r) => Ok(and3(l.eval_bool(table, row)?, r.eval_bool(table, row)?)),
-            Expr::Or(l, r) => Ok(or3(l.eval_bool(table, row)?, r.eval_bool(table, row)?)),
-            Expr::Not(e) => Ok(e.eval_bool(table, row)?.map(|b| !b)),
-            Expr::IsNull(e) => Ok(Some(e.eval(table, row)?.is_null())),
-            Expr::IsNotNull(e) => Ok(Some(!e.eval(table, row)?.is_null())),
-            // Non-boolean expressions used in boolean position: a
-            // Bool-typed column or literal works; others are a type error.
-            other => {
-                let v = other.eval(table, row)?;
-                match v {
-                    Value::Null => Ok(None),
-                    Value::Bool(b) => Ok(Some(b)),
-                    v => Err(crate::error::RelError::TypeMismatch {
-                        expected: "bool".into(),
-                        found: v.type_name().into(),
-                    }),
-                }
-            }
-        }
+    /// Resolve every column name against `schema` once, for
+    /// evaluation with [`Predicate::test`] or [`Predicate::select`].
+    /// Fails with [`RelError::UnknownColumn`](crate::RelError::UnknownColumn)
+    /// for a name the schema lacks.
+    pub fn bind(&self, schema: &Schema) -> RelResult<Predicate> {
+        Predicate::bind(self, schema)
     }
 
     /// The set of column names referenced anywhere in the expression.
@@ -270,29 +227,12 @@ impl Expr {
     }
 }
 
-/// SQL three-valued AND.
-fn and3(a: Option<bool>, b: Option<bool>) -> Option<bool> {
-    match (a, b) {
-        (Some(false), _) | (_, Some(false)) => Some(false),
-        (Some(true), Some(true)) => Some(true),
-        _ => None,
-    }
-}
-
-/// SQL three-valued OR.
-fn or3(a: Option<bool>, b: Option<bool>) -> Option<bool> {
-    match (a, b) {
-        (Some(true), _) | (_, Some(true)) => Some(true),
-        (Some(false), Some(false)) => Some(false),
-        _ => None,
-    }
-}
-
 impl std::fmt::Display for Expr {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Expr::Col(n) => write!(f, "{n}"),
-            Expr::Lit(Value::Str(s)) => write!(f, "'{s}'"),
+            // `''` is the lexer's escape for a quote inside a literal.
+            Expr::Lit(Value::Str(s)) => write!(f, "'{}'", s.replace('\'', "''")),
             Expr::Lit(v) => write!(f, "{v}"),
             Expr::Arith(l, op, r) => {
                 let s = match op {
@@ -317,105 +257,6 @@ impl std::fmt::Display for Expr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::{DataType, Schema};
-
-    fn table() -> Table {
-        let mut t = Table::new(Schema::from_pairs(&[
-            ("x", DataType::Float),
-            ("tag", DataType::Str),
-            ("flag", DataType::Bool),
-        ]));
-        t.push_row(vec![Value::Float(1.0), "a".into(), true.into()])
-            .unwrap();
-        t.push_row(vec![Value::Float(2.0), "b".into(), false.into()])
-            .unwrap();
-        t.push_row(vec![Value::Null, "c".into(), Value::Null])
-            .unwrap();
-        t
-    }
-
-    #[test]
-    fn comparisons_and_nulls() {
-        let t = table();
-        let pred = Expr::col("x").gt(Expr::lit(1.5));
-        assert_eq!(pred.eval_bool(&t, 0).unwrap(), Some(false));
-        assert_eq!(pred.eval_bool(&t, 1).unwrap(), Some(true));
-        assert_eq!(
-            pred.eval_bool(&t, 2).unwrap(),
-            None,
-            "NULL compare is unknown"
-        );
-    }
-
-    #[test]
-    fn between_is_inclusive() {
-        let t = table();
-        let pred = Expr::col("x").between(Expr::lit(1.0), Expr::lit(2.0));
-        assert_eq!(pred.eval_bool(&t, 0).unwrap(), Some(true));
-        assert_eq!(pred.eval_bool(&t, 1).unwrap(), Some(true));
-        assert_eq!(pred.eval_bool(&t, 2).unwrap(), None);
-    }
-
-    #[test]
-    fn three_valued_logic_tables() {
-        // false AND unknown = false; true AND unknown = unknown
-        assert_eq!(and3(Some(false), None), Some(false));
-        assert_eq!(and3(Some(true), None), None);
-        // true OR unknown = true; false OR unknown = unknown
-        assert_eq!(or3(Some(true), None), Some(true));
-        assert_eq!(or3(Some(false), None), None);
-    }
-
-    #[test]
-    fn logical_operators_on_rows() {
-        let t = table();
-        let p = Expr::col("x")
-            .ge(Expr::lit(1.0))
-            .and(Expr::col("tag").eq(Expr::lit("a")));
-        assert_eq!(p.eval_bool(&t, 0).unwrap(), Some(true));
-        assert_eq!(p.eval_bool(&t, 1).unwrap(), Some(false));
-        // x IS NULL on row 2, so (x >= 1.0) unknown AND (tag='c' false) = false
-        let q = Expr::col("x")
-            .ge(Expr::lit(1.0))
-            .and(Expr::col("tag").eq(Expr::lit("x")));
-        assert_eq!(q.eval_bool(&t, 2).unwrap(), Some(false));
-    }
-
-    #[test]
-    fn is_null_checks() {
-        let t = table();
-        assert_eq!(
-            Expr::col("x").is_null().eval_bool(&t, 2).unwrap(),
-            Some(true)
-        );
-        assert_eq!(
-            Expr::col("x").is_not_null().eval_bool(&t, 0).unwrap(),
-            Some(true)
-        );
-    }
-
-    #[test]
-    fn arithmetic_evaluation() {
-        let t = table();
-        let e = Expr::col("x").mul(Expr::lit(10.0)).add(Expr::lit(1.0));
-        assert_eq!(e.eval(&t, 1).unwrap(), Value::Float(21.0));
-        assert_eq!(e.eval(&t, 2).unwrap(), Value::Null);
-    }
-
-    #[test]
-    fn bool_column_usable_as_predicate() {
-        let t = table();
-        let p = Expr::col("flag");
-        assert_eq!(p.eval_bool(&t, 0).unwrap(), Some(true));
-        assert_eq!(p.eval_bool(&t, 1).unwrap(), Some(false));
-        assert_eq!(p.eval_bool(&t, 2).unwrap(), None);
-    }
-
-    #[test]
-    fn non_bool_in_predicate_position_errors() {
-        let t = table();
-        assert!(Expr::col("tag").eval_bool(&t, 0).is_err());
-    }
 
     #[test]
     fn referenced_columns_deduplicates() {
@@ -434,5 +275,7 @@ mod tests {
         assert_eq!(e.to_string(), "kcal BETWEEN 2 AND 2.5");
         let p = Expr::col("gluten").eq(Expr::lit("free"));
         assert_eq!(p.to_string(), "gluten = 'free'");
+        let q = Expr::col("name").eq(Expr::lit("it's"));
+        assert_eq!(q.to_string(), "name = 'it''s'");
     }
 }

@@ -11,6 +11,8 @@
 //! * typed values ([`Value`]) and schemas ([`Schema`]),
 //! * columnar tables ([`Table`]) with append / filter / project / take,
 //! * a scalar expression language ([`Expr`]) for base (`WHERE`) predicates,
+//!   bound to a schema once ([`Expr::bind`] → [`Predicate`]) and evaluated
+//!   row by row or 64 rows a word into a [`RowMask`] ([`predicate`]),
 //! * column aggregates ([`agg`]) for evaluating a materialized package,
 //! * CSV import/export ([`csv`]) for persisting datasets and packages,
 //! * the byte codec ([`codec`]) every wire frame, WAL record and snapshot
@@ -26,12 +28,14 @@ pub mod codec;
 pub mod csv;
 pub mod error;
 pub mod expr;
+pub mod predicate;
 pub mod schema;
 pub mod table;
 pub mod value;
 
 pub use error::{RelError, RelResult};
 pub use expr::{BinOp, CmpOp, Expr};
+pub use predicate::{Predicate, RowMask};
 pub use schema::{ColumnDef, DataType, Schema};
 pub use table::{Column, ColumnChunk, Table};
 pub use value::Value;

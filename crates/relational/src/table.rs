@@ -100,11 +100,16 @@ impl Column {
 
     /// Number of rows.
     pub fn len(&self) -> usize {
+        self.nulls().len()
+    }
+
+    /// The null mask, one entry per row.
+    pub fn nulls(&self) -> &[bool] {
         match self {
             Column::Int { nulls, .. }
             | Column::Float { nulls, .. }
             | Column::Bool { nulls, .. }
-            | Column::Str { nulls, .. } => nulls.len(),
+            | Column::Str { nulls, .. } => nulls,
         }
     }
 
@@ -215,12 +220,7 @@ impl Column {
     /// `true` if row `i` is NULL.
     #[inline]
     pub fn is_null_at(&self, i: usize) -> bool {
-        match self {
-            Column::Int { nulls, .. }
-            | Column::Float { nulls, .. }
-            | Column::Bool { nulls, .. }
-            | Column::Str { nulls, .. } => nulls[i],
-        }
+        self.nulls()[i]
     }
 
     /// A new column containing the rows at `indices`, in order
@@ -480,15 +480,14 @@ impl Table {
     }
 
     /// Indices of rows satisfying `pred` (SQL semantics: NULL ⇒ not
-    /// selected).
+    /// selected), ascending. `pred` is bound once and evaluated with
+    /// [`Predicate::select`](crate::Predicate::select); an empty table
+    /// selects nothing without binding.
     pub fn filter_indices(&self, pred: &Expr) -> RelResult<Vec<usize>> {
-        let mut out = Vec::new();
-        for i in 0..self.rows {
-            if pred.eval_bool(self, i)?.unwrap_or(false) {
-                out.push(i);
-            }
+        if self.rows == 0 {
+            return Ok(Vec::new());
         }
-        Ok(out)
+        Ok(pred.bind(&self.schema)?.select(self)?.iter().collect())
     }
 
     /// A new table containing only the rows satisfying `pred`.
