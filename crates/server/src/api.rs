@@ -20,16 +20,13 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! The same builder drives every client shape: [`RequestBuilder::send`]
-//! for the blocking [`Client`], [`RequestBuilder::send_retrying`] for
-//! [`RetryingClient`], and [`RequestBuilder::submit`] for the
-//! [`PipelinedClient`].
+//! The same builder drives every way of sending: [`RequestBuilder::send`]
+//! waits on a [`Client`], [`RequestBuilder::send_retrying`] goes
+//! through a [`RetryingClient`], and [`RequestBuilder::submit`] returns
+//! a [`Ticket`] to [`Client::wait`] on.
 
-use std::io::{Read, Write};
-
-use crate::client::Client;
+use crate::client::{Client, Ticket};
 use crate::error::ClientResult;
-use crate::pipeline::{PipelinedClient, Ticket};
 use crate::retry::RetryingClient;
 use crate::server::Connection;
 
@@ -43,8 +40,8 @@ pub use crate::wire::{
 
 /// Fluent builder for PaQL execution requests. Start from
 /// [`RequestBuilder::query`], chain option setters, finish with a
-/// transport verb (`send` / `send_retrying` / `submit`) or extract the
-/// pieces ([`RequestBuilder::build`], [`RequestBuilder::options`]).
+/// transport verb (`send` / `send_retrying` / `submit`) or build the
+/// request without sending it ([`RequestBuilder::build`]).
 #[derive(Debug, Clone, Default)]
 pub struct RequestBuilder {
     relation: String,
@@ -122,12 +119,6 @@ impl RequestBuilder {
         self
     }
 
-    /// The accumulated options (for APIs that take [`ExecOptions`]
-    /// directly, e.g. [`PipelinedClient::submit_execute`]).
-    pub fn options(&self) -> ExecOptions {
-        self.options.clone()
-    }
-
     /// Build the typed [`Request::Execute`] without sending it.
     pub fn build(&self) -> Request {
         Request::Execute {
@@ -137,24 +128,9 @@ impl RequestBuilder {
         }
     }
 
-    /// Build an explanation-only request for the same query.
-    pub fn build_explain(&self) -> Request {
-        Request::Explain {
-            relation: self.relation.clone(),
-            paql: self.paql.clone(),
-            options: self.options.clone(),
-        }
-    }
-
-    /// Execute through a blocking [`Client`].
-    pub fn send<C: Read + Write>(&self, client: &mut Client<C>) -> ClientResult<RemoteExecution> {
-        client.execute_request(&self.build())
-    }
-
-    /// Fetch only the server-side plan explanation through a blocking
-    /// [`Client`].
-    pub fn explain<C: Read + Write>(&self, client: &mut Client<C>) -> ClientResult<String> {
-        client.explain_request(&self.build_explain())
+    /// Execute through a [`Client`], waiting for the answer.
+    pub fn send<C: Connection>(&self, client: &mut Client<C>) -> ClientResult<RemoteExecution> {
+        client.call(&self.build())
     }
 
     /// Execute through a [`RetryingClient`] (reconnect + backoff on
@@ -164,18 +140,18 @@ impl RequestBuilder {
         client: &mut RetryingClient<C, F>,
     ) -> ClientResult<RemoteExecution>
     where
-        C: Read + Write,
+        C: Connection,
         F: FnMut() -> std::io::Result<C>,
     {
-        client.execute_opts(&self.relation, &self.paql, self.options.clone())
+        client.call(&self.build())
     }
 
-    /// Submit through a [`PipelinedClient`]; returns the
+    /// Submit through a [`Client`] without waiting; returns the
     /// completion ticket.
     pub fn submit<C: Connection>(
         &self,
-        client: &mut PipelinedClient<C>,
+        client: &mut Client<C>,
     ) -> ClientResult<Ticket<RemoteExecution>> {
-        client.submit_execute(&self.relation, &self.paql, self.options.clone())
+        client.submit(&self.build())
     }
 }

@@ -1,56 +1,143 @@
-//! The client library: typed PaQL calls over any byte stream.
+//! The client library: typed PaQL calls over any [`Connection`].
 //!
 //! [`Client`] wraps a connected stream — a [`TcpStream`] from
-//! [`Client::connect`], or either end of the in-memory
-//! [duplex pipe](crate::transport) via [`Client::over`] — and speaks
-//! one request/response round trip per call: the same tagged
-//! [frames](crate::wire7) as the [pipelined
-//! client](crate::pipeline::PipelinedClient), with one tag outstanding
-//! (the `Hello` handshake rides the first call). Backpressure
-//! ([`Response::Busy`]) and server-reported faults surface as typed
-//! [`ClientError`]s; everything else returns the decoded payload.
+//! [`Client::connect`], or any other [`Connection`] (such as an
+//! in-memory [pipe](crate::transport) end) via [`Client::over`] — and
+//! speaks tagged [frames](crate::wire7) after a [`Hello`] handshake. A
+//! `submit_*` call writes one request and returns a [`Ticket`];
+//! [`Client::wait`] blocks until that ticket's response arrives,
+//! keeping any other response it reads on the way. Each blocking call
+//! ([`Client::execute`], …) is a submit and a wait with one ticket
+//! outstanding. `Busy` and server faults surface as typed
+//! [`ClientError`]s.
 //!
 //! ```no_run
-//! use paq_server::Client;
+//! use paq_server::{Client, RequestBuilder};
 //!
 //! let mut client = Client::connect("127.0.0.1:7878")?;
-//! let answer = client.execute(
+//! let query = RequestBuilder::query(
 //!     "SELECT PACKAGE(R) AS P FROM Recipes R REPEAT 0 \
 //!      SUCH THAT COUNT(P.*) = 3 MINIMIZE SUM(P.saturated_fat)",
-//! )?;
-//! println!("{}", answer.explain);
-//! println!("package: {:?}", answer.package().members());
+//! );
+//! println!("{}", query.send(&mut client)?.explain);
+//! let a = query.submit(&mut client)?;
+//! let b = client.submit_stats()?;
+//! let stats = client.wait(b)?; // may complete before `a`
+//! let answer = client.wait(a)?;
+//! # let _ = (stats, answer);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use std::io::{Read, Write};
+use std::collections::HashMap;
+use std::marker::PhantomData;
 use std::net::{TcpStream, ToSocketAddrs};
+use std::time::Duration;
 
+use paq_obs::RegistrySnapshot;
 use paq_relational::{Table, Value};
 
-use crate::error::{ClientError, ClientResult, WireError};
-use crate::pipeline::HelloOptions;
+use crate::api::RequestBuilder;
+use crate::error::{ClientError, ClientResult, WireError, WireResult};
+use crate::server::Connection;
 use crate::wire::{
-    read_frame, write_frame, ExecOptions, RemoteExecution, Request, Response, StatsReply,
-    WIRE_VERSION,
+    read_frame, read_frame_with, write_frame, ExecOptions, RemoteExecution, Request, Response,
+    ShedClass, StatsReply, WIRE_VERSION,
 };
-use crate::wire7::{decode_response_v7, encode_request_v7, HelloAck, CONTROL_TAG};
+use crate::wire7::{decode_response_v7, encode_request_v7, Hello, HelloAck, CONTROL_TAG};
 
-/// A connected PaQL client. One outstanding request at a time; not
-/// `Clone` — open one client per concurrent caller, the server hands
-/// each its own session.
-#[derive(Debug)]
-pub struct Client<C: Read + Write> {
-    conn: C,
-    /// Set once the `Hello`/`HelloAck` handshake has completed.
-    greeted: bool,
-    next_tag: u32,
+/// Options for the [`Hello`] handshake.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct HelloOptions {
+    /// Admission class this connection's requests queue under.
+    pub class: ShedClass,
+    /// Client identity for per-client admission quotas; `0` (default)
+    /// asks the server to assign a fresh anonymous identity. Give all
+    /// of one tenant's connections the same non-zero id to share one
+    /// quota.
+    pub client_id: u64,
 }
 
+/// A completion handle for one submitted request, typed by the payload
+/// [`Client::wait`] returns for it. The first `wait` claims it; a
+/// second is an [`UnexpectedResponse`](ClientError::UnexpectedResponse).
+#[derive(Debug)]
+pub struct Ticket<T> {
+    tag: u32,
+    _type: PhantomData<fn() -> T>,
+}
+
+// Manual impls: a ticket is a tag, copyable whatever `T` is (derive
+// would demand `T: Copy`).
+impl<T> Clone for Ticket<T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<T> Copy for Ticket<T> {}
+
+impl<T> Ticket<T> {
+    /// The wire tag identifying this request on its connection.
+    pub fn tag(&self) -> u32 {
+        self.tag
+    }
+}
+
+/// Decodes a response into the typed payload a [`Ticket`] promises.
+pub trait Completion: Sized {
+    /// Convert the server's response; `Busy` and `Error` have already
+    /// been turned into typed [`ClientError`]s by the caller.
+    fn from_response(response: Response) -> ClientResult<Self>;
+}
+
+/// One [`Completion`] per payload: the variant it is read from (named
+/// in the error when another arrives) and its value.
+macro_rules! completions {
+    ($($payload:ty: $wanted:literal, $variant:pat => $value:expr;)+) => {$(
+        impl Completion for $payload {
+            fn from_response(response: Response) -> ClientResult<Self> {
+                match response {
+                    $variant => Ok($value),
+                    other => Err(unexpected($wanted, &other)),
+                }
+            }
+        }
+    )+};
+}
+
+completions! {
+    RemoteExecution: "Executed", Response::Executed(execution) => *execution;
+    String: "Explained", Response::Explained { text } => text;
+    // A catalog version.
+    u64: "Registered/Appended",
+        Response::Registered { version } | Response::Appended { version } => version;
+    StatsReply: "Stats", Response::Stats(stats) => stats;
+    RegistrySnapshot: "Metrics", Response::Metrics(snapshot) => snapshot;
+    (): "ShuttingDown", Response::ShuttingDown => ();
+}
+
+/// A connected PaQL client. See the [module docs](self). Not `Clone` —
+/// open one client per concurrent caller, the server hands each its
+/// own session.
+#[derive(Debug)]
+pub struct Client<C: Connection> {
+    conn: C,
+    /// The server's pipeline window, once the handshake has completed.
+    window: Option<u64>,
+    next_tag: u32,
+    /// Submitted tags no `wait` has claimed yet, each with its response
+    /// once that has arrived.
+    outstanding: HashMap<u32, Option<Response>>,
+}
+
+/// Another name for [`Client`], kept so code written against it
+/// compiles unchanged.
+pub type PipelinedClient<C> = Client<C>;
+
 impl Client<TcpStream> {
-    /// Connect over TCP. Disables Nagle's algorithm: this client is
-    /// strict request/response with small frames, exactly the shape
-    /// delayed-ACK coupling penalizes.
+    /// Connect over TCP. Disables Nagle's algorithm: requests are small
+    /// frames each waiting on its answer, exactly the shape delayed-ACK
+    /// coupling penalizes.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
         let conn = TcpStream::connect(addr)?;
         conn.set_nodelay(true)?;
@@ -58,15 +145,39 @@ impl Client<TcpStream> {
     }
 }
 
-impl<C: Read + Write> Client<C> {
-    /// Wrap an already-connected byte stream (e.g. an in-memory pipe
-    /// end). Nothing is sent until the first call.
+impl<C: Connection> Client<C> {
+    /// Wrap an already-connected stream. Nothing is sent until the
+    /// first call, which greets with default [`HelloOptions`].
     pub fn over(conn: C) -> Self {
         Client {
             conn,
-            greeted: false,
+            window: None,
             next_tag: 0,
+            outstanding: HashMap::new(),
         }
+    }
+
+    /// Wrap `conn` and greet now with default [`HelloOptions`].
+    pub fn handshake(conn: C) -> ClientResult<Self> {
+        Self::handshake_as(conn, HelloOptions::default())
+    }
+
+    /// Wrap `conn` and greet now, declaring an admission class and
+    /// client identity. A server-side refusal (accept-time `Busy`, a
+    /// `Version` fault, a connection that cannot be split for
+    /// pipelining) surfaces as the server's typed answer.
+    pub fn handshake_as(mut conn: C, options: HelloOptions) -> ClientResult<Self> {
+        conn.set_read_poll(None)?;
+        let mut client = Client::over(conn);
+        client.greet(options)?;
+        Ok(client)
+    }
+
+    /// The pipeline window the server advertised: its bound on this
+    /// connection's in-flight requests (`0` before the handshake).
+    /// Submitting past it is safe but blocks the *server's* reader.
+    pub fn window(&self) -> u64 {
+        self.window.unwrap_or(0)
     }
 
     /// Unwrap the underlying stream.
@@ -74,97 +185,179 @@ impl<C: Read + Write> Client<C> {
         self.conn
     }
 
-    /// Write one frame and read the peer's answer to it.
-    fn exchange(&mut self, payload: &[u8]) -> ClientResult<Vec<u8>> {
-        // A rejected connection (typed Busy at accept time) may already
-        // have closed under us, making the *write* fail — but the Busy
-        // frame is still buffered for reading. Hold the write error and
-        // prefer whatever the server managed to say.
-        let wrote = write_frame(&mut self.conn, payload);
-        match read_frame(&mut self.conn) {
-            Ok(Some(answer)) => Ok(answer),
-            Ok(None) => {
-                wrote?;
-                Err(ClientError::ConnectionClosed)
-            }
-            Err(read_error) => {
-                wrote?;
-                Err(read_error.into())
-            }
-        }
+    fn greet(&mut self, options: HelloOptions) -> ClientResult<()> {
+        let hello = Hello {
+            max_version: WIRE_VERSION,
+            client_id: options.client_id,
+            class: options.class,
+        };
+        let mut wrote = hello.write_to(&mut self.conn);
+        let ack = decode_ack(&self.read_answer(&mut wrote)?)?;
+        self.window = Some(ack.window);
+        Ok(())
     }
 
-    /// One request/response round trip (preceded, on the first call, by
-    /// the handshake). `Busy` and server faults become typed errors here
-    /// so every typed call only sees its own success variant.
-    fn roundtrip(&mut self, request: &Request) -> ClientResult<Response> {
-        if !self.greeted {
-            let answer = self.exchange(&HelloOptions::default().hello().encode())?;
-            decode_ack(&answer)?;
-            self.greeted = true;
+    /// Read the peer's next frame. `wrote` is the outcome of the write
+    /// awaiting an answer: a connection refused at accept time may have
+    /// closed under that write with its typed `Busy` still buffered for
+    /// reading, so a failed write is reported only when there is
+    /// nothing left to read.
+    fn read_answer(&mut self, wrote: &mut WireResult<()>) -> ClientResult<Vec<u8>> {
+        let read = read_frame(&mut self.conn);
+        if !matches!(read, Ok(Some(_))) {
+            std::mem::replace(wrote, Ok(()))?;
+        }
+        read?.ok_or(ClientError::ConnectionClosed)
+    }
+
+    /// Greet if this is the first call, then write `request` under a
+    /// fresh outstanding tag. The write's outcome is returned, not
+    /// raised: a blocking call still reads after a failed write.
+    fn send(&mut self, request: &Request) -> ClientResult<(u32, WireResult<()>)> {
+        if self.window.is_none() {
+            self.greet(HelloOptions::default())?;
         }
         let tag = self.next_tag;
         self.next_tag = (tag + 1) % CONTROL_TAG;
-        let answer = self.exchange(&encode_request_v7(tag, request))?;
-        match decode_response_v7(&answer)? {
-            (_, response @ (Response::Busy { .. } | Response::Error(_))) => Err(fault_of(response)),
-            (got, response) if got == tag => Ok(response),
-            (got, _) => Err(ClientError::UnexpectedResponse(format!(
-                "wanted tag {tag}, got tag {got}"
-            ))),
+        self.outstanding.insert(tag, None);
+        let wrote = write_frame(&mut self.conn, &encode_request_v7(tag, request));
+        Ok((tag, wrote))
+    }
+
+    /// Write one tagged request and return its ticket.
+    pub(crate) fn submit<T>(&mut self, request: &Request) -> ClientResult<Ticket<T>> {
+        let (tag, wrote) = self.send(request)?;
+        if let Err(e) = wrote {
+            self.outstanding.remove(&tag);
+            return Err(e.into());
         }
+        Ok(Ticket {
+            tag,
+            _type: PhantomData,
+        })
+    }
+
+    /// One blocking call: submit `request`, then wait for its answer.
+    pub(crate) fn call<T: Completion>(&mut self, request: &Request) -> ClientResult<T> {
+        let (tag, wrote) = self.send(request)?;
+        self.claim(tag, wrote)
+    }
+
+    /// Block until `ticket`'s response arrives (keeping any other
+    /// response read along the way), then decode it. `Busy` — the
+    /// request was shed by admission control — and server faults become
+    /// typed errors carrying the shed class / fault.
+    pub fn wait<T: Completion>(&mut self, ticket: Ticket<T>) -> ClientResult<T> {
+        self.claim(ticket.tag, Ok(()))
+    }
+
+    /// [`Client::wait`] for `tag`, whose write had outcome `wrote`. The
+    /// tag is no longer outstanding afterwards, whatever this returns.
+    fn claim<T: Completion>(&mut self, tag: u32, mut wrote: WireResult<()>) -> ClientResult<T> {
+        let arrived = loop {
+            match self.outstanding.get_mut(&tag).map(Option::take) {
+                None => return Err(not_awaited(tag)),
+                Some(Some(response)) => break Ok(response),
+                Some(None) => {}
+            }
+            let read = self.read_answer(&mut wrote);
+            if let Err(e) = read.and_then(|answer| self.file(&answer)) {
+                break Err(e);
+            }
+        };
+        self.outstanding.remove(&tag);
+        match arrived? {
+            response @ (Response::Busy { .. } | Response::Error(_)) => Err(fault_of(response)),
+            response => T::from_response(response),
+        }
+    }
+
+    /// File one response frame under its outstanding tag and return the
+    /// tag. A response on the reserved control tag is a connection-level
+    /// fault, returned as the error itself; a tag that is not awaiting
+    /// an answer is a protocol violation.
+    fn file(&mut self, payload: &[u8]) -> ClientResult<u32> {
+        let (tag, response) = decode_response_v7(payload)?;
+        if tag == CONTROL_TAG {
+            return Err(fault_of(response));
+        }
+        let slot = self.outstanding.get_mut(&tag).filter(|slot| slot.is_none());
+        *slot.ok_or_else(|| not_awaited(tag))? = Some(response);
+        Ok(tag)
+    }
+
+    /// Drain responses that have already arrived, without blocking for
+    /// more. Returns the tags newly completed, in arrival order; read
+    /// their payloads with [`Client::wait`] (which no longer blocks).
+    pub fn poll_ready(&mut self) -> ClientResult<Vec<u32>> {
+        self.conn.set_read_poll(Some(Duration::from_millis(1)))?;
+        let mut arrived = Vec::new();
+        // `on_idle` abandons the wait at the first empty poll tick, so
+        // this reads exactly what is buffered and stops.
+        let result = loop {
+            match read_frame_with(&mut self.conn, || true) {
+                Ok(Some(payload)) => match self.file(&payload) {
+                    Ok(tag) => arrived.push(tag),
+                    Err(e) => break Err(e),
+                },
+                Ok(None) => break Ok(arrived),
+                Err(e) => break Err(e.into()),
+            }
+        };
+        self.conn.set_read_poll(None)?;
+        result
+    }
+
+    /// Submit a table registration; the table travels in the columnar
+    /// encoding. The ticket completes with the catalog version.
+    pub fn submit_register_table(
+        &mut self,
+        name: &str,
+        table: &Table,
+        token: Option<u64>,
+    ) -> ClientResult<Ticket<u64>> {
+        self.submit(&register_request(name, table, token))
+    }
+
+    /// Submit a row append; the ticket completes with the catalog
+    /// version.
+    pub fn submit_append_row(
+        &mut self,
+        name: &str,
+        row: Vec<Value>,
+        token: Option<u64>,
+    ) -> ClientResult<Ticket<u64>> {
+        self.submit(&append_request(name, row, token))
+    }
+
+    /// Submit a database-stats request.
+    pub fn submit_stats(&mut self) -> ClientResult<Ticket<StatsReply>> {
+        self.submit(&Request::Stats)
+    }
+
+    /// Submit a metrics-snapshot request.
+    pub fn submit_metrics(&mut self) -> ClientResult<Ticket<RegistrySnapshot>> {
+        self.submit(&Request::Metrics)
+    }
+
+    /// Submit a graceful-shutdown request.
+    pub fn submit_shutdown(&mut self) -> ClientResult<Ticket<()>> {
+        self.submit(&Request::Shutdown)
     }
 
     /// Execute a PaQL query with default options.
     pub fn execute(&mut self, paql: &str) -> ClientResult<RemoteExecution> {
-        self.execute_opts("", paql, ExecOptions::default())
-    }
-
-    /// Execute path shared by [`Client::execute`] and
-    /// [`RequestBuilder`](crate::api::RequestBuilder): `relation`, when
-    /// non-empty, must match the query's `FROM` relation, and `options`
-    /// override the connection session's configuration for this request
-    /// only.
-    pub(crate) fn execute_opts(
-        &mut self,
-        relation: &str,
-        paql: &str,
-        options: ExecOptions,
-    ) -> ClientResult<RemoteExecution> {
-        self.execute_request(&Request::Execute {
-            relation: relation.to_owned(),
-            paql: paql.to_owned(),
-            options,
-        })
-    }
-
-    /// Send a pre-built `Execute` request and decode the execution.
-    pub(crate) fn execute_request(&mut self, request: &Request) -> ClientResult<RemoteExecution> {
-        match self.roundtrip(request)? {
-            Response::Executed(execution) => Ok(*execution),
-            other => Err(unexpected("Executed", &other)),
-        }
-    }
-
-    /// Send a pre-built `Explain` request and decode the plan text.
-    pub(crate) fn explain_request(&mut self, request: &Request) -> ClientResult<String> {
-        match self.roundtrip(request)? {
-            Response::Explained { text } => Ok(text),
-            other => Err(unexpected("Explained", &other)),
-        }
+        self.call(&RequestBuilder::query(paql).build())
     }
 
     /// Execute a PaQL query but fetch only the server-side plan
     /// explanation.
     pub fn explain(&mut self, paql: &str) -> ClientResult<String> {
-        match self.roundtrip(&Request::Explain {
+        self.call(&Request::Explain {
             relation: String::new(),
             paql: paql.to_owned(),
             options: ExecOptions::default(),
-        })? {
-            Response::Explained { text } => Ok(text),
-            other => Err(unexpected("Explained", &other)),
-        }
+        })
     }
 
     /// Register (or replace) a table; returns the catalog version.
@@ -183,14 +376,7 @@ impl<C: Read + Write> Client<C> {
         table: &Table,
         token: Option<u64>,
     ) -> ClientResult<u64> {
-        match self.roundtrip(&Request::RegisterTable {
-            name: name.to_owned(),
-            table: table.clone(),
-            token,
-        })? {
-            Response::Registered { version } => Ok(version),
-            other => Err(unexpected("Registered", &other)),
-        }
+        self.call(&register_request(name, table, token))
     }
 
     /// Append one row; returns the new catalog version.
@@ -206,22 +392,12 @@ impl<C: Read + Write> Client<C> {
         row: Vec<Value>,
         token: Option<u64>,
     ) -> ClientResult<u64> {
-        match self.roundtrip(&Request::AppendRow {
-            name: name.to_owned(),
-            row,
-            token,
-        })? {
-            Response::Appended { version } => Ok(version),
-            other => Err(unexpected("Appended", &other)),
-        }
+        self.call(&append_request(name, row, token))
     }
 
     /// Fetch the server's database snapshot (tables + cache counters).
     pub fn stats(&mut self) -> ClientResult<StatsReply> {
-        match self.roundtrip(&Request::Stats)? {
-            Response::Stats(stats) => Ok(stats),
-            other => Err(unexpected("Stats", &other)),
-        }
+        self.call(&Request::Stats)
     }
 
     /// Fetch the server's full metrics-registry snapshot: counters,
@@ -231,20 +407,30 @@ impl<C: Read + Write> Client<C> {
     /// [`paq_obs::prometheus::render`] for text exposition, or read
     /// percentiles straight off the
     /// [`HistogramSnapshot`](paq_obs::HistogramSnapshot)s.
-    pub fn metrics(&mut self) -> ClientResult<paq_obs::RegistrySnapshot> {
-        match self.roundtrip(&Request::Metrics)? {
-            Response::Metrics(snapshot) => Ok(snapshot),
-            other => Err(unexpected("Metrics", &other)),
-        }
+    pub fn metrics(&mut self) -> ClientResult<RegistrySnapshot> {
+        self.call(&Request::Metrics)
     }
 
     /// Ask the server to shut down gracefully (drain in-flight work,
     /// stop accepting). The server acknowledges before closing.
     pub fn shutdown(&mut self) -> ClientResult<()> {
-        match self.roundtrip(&Request::Shutdown)? {
-            Response::ShuttingDown => Ok(()),
-            other => Err(unexpected("ShuttingDown", &other)),
-        }
+        self.call(&Request::Shutdown)
+    }
+}
+
+fn register_request(name: &str, table: &Table, token: Option<u64>) -> Request {
+    Request::RegisterTable {
+        name: name.to_owned(),
+        table: table.clone(),
+        token,
+    }
+}
+
+fn append_request(name: &str, row: Vec<Value>, token: Option<u64>) -> Request {
+    Request::AppendRow {
+        name: name.to_owned(),
+        row,
+        token,
     }
 }
 
@@ -252,7 +438,7 @@ impl<C: Read + Write> Client<C> {
 /// server refused the connection (accept-time `Busy`, `Version` fault,
 /// …) with a response on the control tag — surface that instead of
 /// "malformed".
-pub(crate) fn decode_ack(payload: &[u8]) -> ClientResult<HelloAck> {
+fn decode_ack(payload: &[u8]) -> ClientResult<HelloAck> {
     match HelloAck::decode(payload) {
         Ok(ack) if ack.version == WIRE_VERSION => Ok(ack),
         Ok(ack) => Err(ClientError::Wire(WireError::Version {
@@ -267,7 +453,7 @@ pub(crate) fn decode_ack(payload: &[u8]) -> ClientResult<HelloAck> {
 }
 
 /// The typed error a `Busy` or `Error` response stands for.
-pub(crate) fn fault_of(response: Response) -> ClientError {
+fn fault_of(response: Response) -> ClientError {
     match response {
         Response::Busy {
             in_flight,
@@ -285,7 +471,11 @@ pub(crate) fn fault_of(response: Response) -> ClientError {
     }
 }
 
-pub(crate) fn unexpected(wanted: &str, got: &Response) -> ClientError {
+fn not_awaited(tag: u32) -> ClientError {
+    ClientError::UnexpectedResponse(format!("tag {tag} is not awaiting an answer"))
+}
+
+fn unexpected(wanted: &str, got: &Response) -> ClientError {
     let variant = match got {
         Response::Executed(_) => "Executed",
         Response::Registered { .. } => "Registered",
@@ -298,4 +488,74 @@ pub(crate) fn unexpected(wanted: &str, got: &Response) -> ClientError {
         Response::Error(_) => "Error",
     };
     ClientError::UnexpectedResponse(format!("wanted {wanted}, got {variant}"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::transport::{duplex, PipeEnd};
+    use crate::wire7::encode_response_v7;
+    use std::thread::JoinHandle;
+
+    /// A client whose peer acks the `Hello`, answers request `n` (of
+    /// `requests`) with `Appended { version: n }` on tag `answer_tag(n)`,
+    /// then hangs up: a wait for an answer that never comes fails with
+    /// `ConnectionClosed` instead of hanging.
+    fn scripted(requests: u32, answer_tag: fn(u32) -> u32) -> (Client<PipeEnd>, JoinHandle<()>) {
+        let (ours, mut theirs) = duplex();
+        let peer = std::thread::spawn(move || {
+            read_frame(&mut theirs).unwrap().unwrap();
+            let ack = HelloAck {
+                version: WIRE_VERSION,
+                window: 4,
+            };
+            ack.write_to(&mut theirs).unwrap();
+            for n in 0..requests {
+                read_frame(&mut theirs).unwrap().unwrap();
+                let appended = Response::Appended { version: n.into() };
+                write_frame(&mut theirs, &encode_response_v7(answer_tag(n), &appended)).unwrap();
+            }
+        });
+        (Client::over(ours), peer)
+    }
+
+    fn is_unexpected<T>(result: ClientResult<T>) -> bool {
+        matches!(result, Err(ClientError::UnexpectedResponse(_)))
+    }
+
+    #[test]
+    fn waiting_twice_or_receiving_a_foreign_tag_fails_at_once() {
+        // The first request is answered on its own tag, the second on a
+        // tag nobody submitted.
+        let (mut client, peer) = scripted(2, |n| if n == 0 { 0 } else { 77 });
+        let ticket = client.submit_append_row("T", vec![], None).unwrap();
+        assert_eq!(client.wait(ticket).unwrap(), 0);
+        let foreign = client.submit_append_row("T", vec![], None).unwrap();
+        assert!(is_unexpected(client.wait(foreign)), "tag 77 was never sent");
+        assert!(is_unexpected(client.wait(ticket)), "a claimed ticket");
+        assert!(client.outstanding.is_empty());
+        peer.join().unwrap();
+    }
+
+    #[test]
+    fn a_wait_keeps_the_responses_it_reads_for_other_tickets() {
+        // Each request is answered on the other one's tag.
+        let (mut client, peer) = scripted(2, |n| 1 - n);
+        let first = client.submit_append_row("T", vec![], None).unwrap();
+        let second = client.submit_append_row("T", vec![], None).unwrap();
+        assert_eq!(client.wait(first).unwrap(), 1);
+        assert_eq!(client.wait(second).unwrap(), 0);
+        assert!(client.outstanding.is_empty());
+        peer.join().unwrap();
+    }
+
+    #[test]
+    fn blocking_calls_leave_nothing_outstanding() {
+        let (mut client, peer) = scripted(1_000, |n| n);
+        for version in 0..1_000 {
+            assert_eq!(client.append_row("T", vec![]).unwrap(), version);
+        }
+        assert!(client.outstanding.is_empty());
+        peer.join().unwrap();
+    }
 }

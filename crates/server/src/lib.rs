@@ -26,9 +26,12 @@
 //!   queue every request passes through, a bounded in-flight count that
 //!   rejects with `Busy` instead of buffering without bound, and
 //!   graceful shutdown that drains in-flight executions.
-//! * [`client`], [`pipeline`], [`retry`] — the **client library**:
-//!   typed calls over any stream — blocking, pipelined, or retrying —
-//!   used by `examples/serve.rs` and the benchmarks.
+//! * [`client`], [`retry`] — the **client library**: one [`Client`]
+//!   whose `submit_*` calls return tickets to wait on, many in flight on
+//!   one connection, and whose blocking calls are a submit and a wait
+//!   with one ticket outstanding; [`RetryingClient`] wraps it with
+//!   reconnects and backoff. Used by `examples/serve.rs` and the
+//!   benchmarks.
 //! * [`transport`] — the in-memory duplex pipe + listener that lets the
 //!   whole stack run deterministically in tests, sockets not included.
 //!
@@ -65,7 +68,6 @@ pub(crate) mod admission;
 pub mod api;
 pub mod client;
 pub mod error;
-pub mod pipeline;
 pub mod retry;
 pub mod server;
 pub mod transport;
@@ -73,9 +75,8 @@ pub mod wire;
 pub mod wire7;
 
 pub use api::RequestBuilder;
-pub use client::Client;
+pub use client::{Client, Completion, HelloOptions, PipelinedClient, Ticket};
 pub use error::{ClientError, ClientResult, WireError, WireResult};
-pub use pipeline::{Completion, HelloOptions, PipelinedClient, Ticket};
 pub use retry::{RetryPolicy, RetryStats, RetryingClient};
 pub use server::{
     spawn_tcp, Accepted, Acceptor, AdmissionConfig, Connection, Server, ServerConfig, TcpAcceptor,

@@ -31,7 +31,6 @@
 //!
 //! [`Busy`]: ClientError::Busy
 
-use std::io::{Read, Write};
 use std::time::Duration;
 
 use rand::rngs::SmallRng;
@@ -40,9 +39,10 @@ use rand::{Rng, SeedableRng};
 use paq_obs::Registry;
 use paq_relational::{Table, Value};
 
-use crate::client::Client;
+use crate::client::{Client, Completion};
 use crate::error::{ClientError, ClientResult};
-use crate::wire::{ExecOptions, RemoteExecution, StatsReply};
+use crate::server::Connection;
+use crate::wire::{RemoteExecution, Request, StatsReply};
 
 /// When and how hard to retry.
 #[derive(Debug, Clone)]
@@ -124,7 +124,7 @@ pub struct RetryStats {
 /// # Ok::<(), paq_server::ClientError>(())
 /// ```
 #[derive(Debug)]
-pub struct RetryingClient<C: Read + Write, F: FnMut() -> std::io::Result<C>> {
+pub struct RetryingClient<C: Connection, F: FnMut() -> std::io::Result<C>> {
     connect: F,
     policy: RetryPolicy,
     client: Option<Client<C>>,
@@ -133,7 +133,7 @@ pub struct RetryingClient<C: Read + Write, F: FnMut() -> std::io::Result<C>> {
     obs: Registry,
 }
 
-impl<C: Read + Write, F: FnMut() -> std::io::Result<C>> RetryingClient<C, F> {
+impl<C: Connection, F: FnMut() -> std::io::Result<C>> RetryingClient<C, F> {
     /// A client that (re)connects through `connect` and retries per
     /// `policy`. Nothing connects until the first call.
     pub fn new(connect: F, policy: RetryPolicy) -> Self {
@@ -197,9 +197,11 @@ impl<C: Read + Write, F: FnMut() -> std::io::Result<C>> RetryingClient<C, F> {
             if !error.is_transient() || retry >= self.policy.max_retries {
                 return Err(error);
             }
-            // Every transient error leaves the connection unusable
-            // (Busy closes it server-side; the rest are stream
-            // failures): drop it and reconnect on the next attempt.
+            // Drop the connection and reconnect on the next attempt. A
+            // stream failure leaves it unusable, and so does a Busy
+            // refusal at accept time (`shed_class: None`), which the
+            // server closes. An admission shed keeps it open, but a
+            // fresh one serves the retry just as well.
             self.client = None;
             let hint = match &error {
                 ClientError::Busy { retry_after_ms, .. } => {
@@ -218,20 +220,15 @@ impl<C: Read + Write, F: FnMut() -> std::io::Result<C>> RetryingClient<C, F> {
         }
     }
 
-    /// [`Client::execute`] with retries.
-    pub fn execute(&mut self, paql: &str) -> ClientResult<RemoteExecution> {
-        self.execute_opts("", paql, ExecOptions::default())
+    /// A pre-built request with retries, for
+    /// [`RequestBuilder::send_retrying`](crate::api::RequestBuilder::send_retrying).
+    pub(crate) fn call<T: Completion>(&mut self, request: &Request) -> ClientResult<T> {
+        self.with_retry(|c| c.call(request))
     }
 
-    /// Execute path shared by [`RetryingClient::execute`] and
-    /// [`RequestBuilder`](crate::api::RequestBuilder).
-    pub(crate) fn execute_opts(
-        &mut self,
-        relation: &str,
-        paql: &str,
-        options: ExecOptions,
-    ) -> ClientResult<RemoteExecution> {
-        self.with_retry(|c| c.execute_opts(relation, paql, options.clone()))
+    /// [`Client::execute`] with retries.
+    pub fn execute(&mut self, paql: &str) -> ClientResult<RemoteExecution> {
+        self.with_retry(|c| c.execute(paql))
     }
 
     /// [`Client::explain`] with retries.
@@ -318,11 +315,11 @@ mod tests {
             ..RetryPolicy::default()
         };
         let mut c1 = RetryingClient::new(
-            || Err::<std::io::Empty, _>(std::io::Error::other("nope")),
+            || Err::<crate::PipeEnd, _>(std::io::Error::other("nope")),
             policy.clone(),
         );
         let mut c2 = RetryingClient::new(
-            || Err::<std::io::Empty, _>(std::io::Error::other("nope")),
+            || Err::<crate::PipeEnd, _>(std::io::Error::other("nope")),
             policy,
         );
         let t1: Vec<u64> = (0..4).map(|_| c1.next_token()).collect();

@@ -15,9 +15,9 @@
 //!   after the [`Hello`] handshake it decodes tagged request frames and
 //!   queues them in the one fair scheduler ([`AdmissionConfig`]); a
 //!   separate executor pool dequeues, executes and writes the tagged
-//!   responses. There is no second, inline path — a blocking
-//!   [`Client`](crate::client::Client) is a pipelined client with one
-//!   tag outstanding.
+//!   responses. There is no second, inline path — a blocking call on a
+//!   [`Client`](crate::client::Client) is a submit and a wait with one
+//!   ticket outstanding.
 //! * **Backpressure** is a bound on accepted-but-unfinished
 //!   connections: at the bound, a new connection is answered with a
 //!   typed [`Response::Busy`] and closed instead of queueing without

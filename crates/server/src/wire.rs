@@ -840,11 +840,12 @@ pub struct StatsReply {
 /// [handshake](crate::wire7::Hello), and the class a request-level
 /// [`Response::Busy`] names as the one it shed. Order encodes
 /// priority: `Interactive` is served first and shed last.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ShedClass {
     /// Latency-sensitive traffic: highest dequeue weight, shed last.
     Interactive,
     /// The default class for clients that do not declare one.
+    #[default]
     Normal,
     /// Throughput-oriented bulk traffic: lowest priority, first to be
     /// shed when the server saturates.

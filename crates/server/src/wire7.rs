@@ -192,7 +192,7 @@ pub fn decode_request_v7(payload: &[u8]) -> WireResult<(u32, Request)> {
 
 /// Recover just the tag from a request payload — used to answer a
 /// request whose *body* failed to decode with an error carrying the
-/// right tag (so the pipelined client does not hang on a lost tag).
+/// right tag (so the client does not hang on a lost tag).
 /// Falls back to [`CONTROL_TAG`] semantics at the caller when this
 /// fails too.
 pub(crate) fn request_frame_tag(payload: &[u8]) -> WireResult<u32> {

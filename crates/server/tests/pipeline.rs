@@ -14,8 +14,7 @@ use paq_relational::{DataType, Schema, Table, Value};
 use paq_server::wire7::{decode_response_v7, encode_request_v7};
 use paq_server::{
     pipe_listener, wire, AdmissionConfig, Client, ClientError, FaultKind, Hello, HelloOptions,
-    PipelinedClient, Request, RequestBuilder, Response, Server, ServerConfig, ShedClass,
-    CONTROL_TAG, WIRE_VERSION,
+    Request, RequestBuilder, Response, Server, ServerConfig, ShedClass, CONTROL_TAG, WIRE_VERSION,
 };
 use std::io::Write;
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -93,7 +92,7 @@ fn handshake_advertises_the_window() {
     let (connector, listener) = pipe_listener();
     std::thread::scope(|scope| {
         scope.spawn(|| server.serve(listener));
-        let mut client = PipelinedClient::handshake(connector.connect().unwrap()).unwrap();
+        let mut client = Client::handshake(connector.connect().unwrap()).unwrap();
         assert_eq!(client.window(), 9, "HelloAck must carry the server window");
 
         // The pipelined connection serves typed requests like any other.
@@ -139,11 +138,15 @@ fn out_of_order_pipelined_results_match_sequential_bit_identically() {
             // tickets in REVERSE order — the out-of-order case the tag
             // routing exists for. Every answer must be bit-identical to
             // the sequential one for the same submission.
-            let mut pipelined = PipelinedClient::handshake(connector.connect().unwrap()).unwrap();
+            let mut pipelined = Client::handshake(connector.connect().unwrap()).unwrap();
             let tickets: Vec<_> = submissions
                 .iter()
                 .map(|paql| pinned(paql).submit(&mut pipelined).unwrap())
                 .collect();
+            let mut arrived = Vec::new();
+            while arrived.len() < tickets.len() {
+                arrived.extend(pipelined.poll_ready().unwrap());
+            }
             let mut results = vec![Vec::new(); tickets.len()];
             for (i, ticket) in tickets.iter().enumerate().rev() {
                 results[i] = pipelined.wait(*ticket).unwrap().pairs;
@@ -152,9 +155,10 @@ fn out_of_order_pipelined_results_match_sequential_bit_identically() {
                 results, baseline,
                 "workers={workers}: pipelined answers diverged from sequential"
             );
+            arrived.sort_unstable();
             assert_eq!(
-                pipelined.completed_order().len(),
-                tickets.len(),
+                arrived,
+                tickets.iter().map(|t| t.tag()).collect::<Vec<_>>(),
                 "every submission must have completed exactly once"
             );
 
@@ -192,7 +196,7 @@ fn pipelined_catalog_mutations_travel_columnar_and_apply_in_order() {
     let (connector, listener) = pipe_listener();
     std::thread::scope(|scope| {
         scope.spawn(|| server.serve(listener));
-        let mut client = PipelinedClient::handshake(connector.connect().unwrap()).unwrap();
+        let mut client = Client::handshake(connector.connect().unwrap()).unwrap();
 
         // All submitted before the first wait: registration (the
         // columnar body), an append, and the stats read-back ride the
@@ -251,7 +255,7 @@ fn quota_shed_is_a_typed_busy_on_the_request_tag() {
     let (connector, listener) = pipe_listener();
     std::thread::scope(|scope| {
         scope.spawn(|| server.serve(listener));
-        let mut client = PipelinedClient::handshake_as(
+        let mut client = Client::handshake_as(
             connector.connect().unwrap(),
             HelloOptions {
                 class: ShedClass::Bulk,
@@ -317,7 +321,7 @@ fn interactive_overtakes_a_bulk_backlog_on_the_served_path() {
 
         let bulk_conn = TcpStream::connect(addr).unwrap();
         let bulk_write_half = bulk_conn.try_clone().unwrap();
-        let mut bulk = PipelinedClient::handshake_as(
+        let mut bulk = Client::handshake_as(
             bulk_conn,
             HelloOptions {
                 class: ShedClass::Bulk,
@@ -352,7 +356,7 @@ fn interactive_overtakes_a_bulk_backlog_on_the_served_path() {
 
         // This handshake is answered by that same handler, so once it
         // returns the whole backlog is in the admission queue.
-        let mut interactive = PipelinedClient::handshake_as(
+        let mut interactive = Client::handshake_as(
             TcpStream::connect(addr).unwrap(),
             HelloOptions {
                 class: ShedClass::Interactive,
@@ -374,9 +378,13 @@ fn interactive_overtakes_a_bulk_backlog_on_the_served_path() {
         release.send(()).unwrap();
         gate.join().unwrap().unwrap();
 
+        let mut arrived = Vec::new();
+        while arrived.len() < 2 {
+            arrived.extend(interactive.poll_ready().unwrap());
+        }
+        let overtook_census = arrived[0] == overtaker.tag();
         let answer = interactive.wait(overtaker).unwrap();
         let served_before_census = interactive.wait(census).unwrap().served;
-        let overtook_census = interactive.completed_order()[0] == overtaker.tag();
 
         // Overtaken, not starved or dropped: every bulk request is still
         // answered, and identically.

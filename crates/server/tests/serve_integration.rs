@@ -18,7 +18,8 @@ use paq_db::{DbConfig, PackageDb, Route};
 use paq_lang::parse_paql;
 use paq_relational::{DataType, Schema, Table, Value};
 use paq_server::{
-    pipe_listener, spawn_tcp, Client, ClientError, FaultKind, RequestBuilder, Server, ServerConfig,
+    pipe_listener, spawn_tcp, Client, ClientError, Connection, FaultKind, RequestBuilder, Server,
+    ServerConfig,
 };
 
 /// Server pool size under test (`PAQ_THREADS`, default 4).
@@ -86,7 +87,7 @@ fn test_db() -> PackageDb {
 /// of `db` at the observed table version.
 fn storm<C, F>(db: &PackageDb, clients: usize, reps: usize, make_client: F)
 where
-    C: std::io::Read + std::io::Write,
+    C: Connection,
     F: Fn() -> Client<C> + Sync,
 {
     let version = db.table_version("Items").unwrap();

@@ -15,19 +15,6 @@ use parking_lot::RwLock;
 
 use crate::solution::{SolveOutcome, SolveStats};
 
-/// One recorded solve, kept in the history ring.
-#[derive(Debug, Clone)]
-pub struct SolveRecord {
-    /// Nodes explored.
-    pub nodes: u64,
-    /// Simplex iterations used.
-    pub simplex_iterations: u64,
-    /// Wall-clock duration.
-    pub wall_time: Duration,
-    /// Whether the solve ended in a resource failure.
-    pub failed: bool,
-}
-
 /// Thread-safe aggregate counters over every solve reported to this
 /// sink.
 #[derive(Debug, Default)]
@@ -37,7 +24,7 @@ pub struct Telemetry {
     nodes: AtomicU64,
     simplex_iterations: AtomicU64,
     wall_nanos: AtomicU64,
-    history: RwLock<Vec<SolveRecord>>,
+    max_simplex_iterations: AtomicU64,
     /// Optional mirror into a shared metrics registry (see
     /// [`Telemetry::attach_registry`]); disabled by default.
     registry: RwLock<Registry>,
@@ -71,12 +58,8 @@ impl Telemetry {
             .fetch_add(stats.simplex_iterations, Ordering::Relaxed);
         self.wall_nanos
             .fetch_add(stats.wall_time.as_nanos() as u64, Ordering::Relaxed);
-        self.history.write().push(SolveRecord {
-            nodes: stats.nodes,
-            simplex_iterations: stats.simplex_iterations,
-            wall_time: stats.wall_time,
-            failed: outcome.is_failure(),
-        });
+        self.max_simplex_iterations
+            .fetch_max(stats.simplex_iterations, Ordering::Relaxed);
         let registry = self.registry.read().clone();
         registry.incr("solver.calls");
         if outcome.is_failure() {
@@ -112,9 +95,9 @@ impl Telemetry {
         Duration::from_nanos(self.wall_nanos.load(Ordering::Relaxed))
     }
 
-    /// Snapshot of the per-solve history.
-    pub fn history(&self) -> Vec<SolveRecord> {
-        self.history.read().clone()
+    /// The most simplex iterations any single solve used.
+    pub fn max_simplex_iterations(&self) -> u64 {
+        self.max_simplex_iterations.load(Ordering::Relaxed)
     }
 
     /// Reset every counter (between experiment runs).
@@ -124,7 +107,7 @@ impl Telemetry {
         self.nodes.store(0, Ordering::Relaxed);
         self.simplex_iterations.store(0, Ordering::Relaxed);
         self.wall_nanos.store(0, Ordering::Relaxed);
-        self.history.write().clear();
+        self.max_simplex_iterations.store(0, Ordering::Relaxed);
     }
 }
 
@@ -151,9 +134,11 @@ mod tests {
             values: vec![],
             objective: 0.0,
         };
-        t.record(&stats(2), &SolveOutcome::Optimal(sol));
+        // The larger solve comes first, so the maximum is not simply
+        // the last solve's count.
+        t.record(&stats(3), &SolveOutcome::Optimal(sol));
         t.record(
-            &stats(3),
+            &stats(2),
             &SolveOutcome::ResourceExhausted(LimitKind::Memory),
         );
         assert_eq!(t.calls(), 2);
@@ -161,8 +146,7 @@ mod tests {
         assert_eq!(t.total_nodes(), 5);
         assert_eq!(t.total_simplex_iterations(), 50);
         assert_eq!(t.total_wall_time(), Duration::from_millis(5));
-        assert_eq!(t.history().len(), 2);
-        assert!(t.history()[1].failed);
+        assert_eq!(t.max_simplex_iterations(), 30);
     }
 
     #[test]
@@ -172,7 +156,7 @@ mod tests {
         t.reset();
         assert_eq!(t.calls(), 0);
         assert_eq!(t.total_nodes(), 0);
-        assert!(t.history().is_empty());
+        assert_eq!(t.max_simplex_iterations(), 0);
     }
 
     #[test]
@@ -192,6 +176,6 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(t.calls(), 100);
-        assert_eq!(t.history().len(), 100);
+        assert_eq!(t.max_simplex_iterations(), 10);
     }
 }

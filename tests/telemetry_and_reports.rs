@@ -78,8 +78,8 @@ fn sketchrefine_best_case_is_m_plus_one_calls() {
 fn sketchrefine_calls_are_small_where_direct_is_large() {
     // The whole point of the decomposition: every SKETCHREFINE solver
     // call touches at most max(m, τ) variables. We verify via the
-    // telemetry history that no single call did more simplex work than
-    // the one big DIRECT call.
+    // telemetry's per-call maximum that no single call did more simplex
+    // work than the one big DIRECT call.
     let (db, query, _) = setup();
 
     let direct_tel = Arc::new(Telemetry::new());
@@ -90,12 +90,7 @@ fn sketchrefine_calls_are_small_where_direct_is_large() {
     let sr_tel = Arc::new(Telemetry::new());
     db.set_telemetry(Arc::clone(&sr_tel));
     db.execute_with(&query, Route::ForceSketchRefine).unwrap();
-    let max_single_call = sr_tel
-        .history()
-        .iter()
-        .map(|r| r.simplex_iterations)
-        .max()
-        .unwrap_or(0);
+    let max_single_call = sr_tel.max_simplex_iterations();
     assert!(
         max_single_call <= direct_iters.max(1) * 2,
         "a single SKETCHREFINE subproblem ({max_single_call} iters) should not dwarf \
@@ -112,7 +107,7 @@ fn telemetry_resets_between_experiments() {
     assert!(telemetry.calls() > 0);
     telemetry.reset();
     assert_eq!(telemetry.calls(), 0);
-    assert!(telemetry.history().is_empty());
+    assert_eq!(telemetry.max_simplex_iterations(), 0);
     db.execute_with(&query, Route::ForceSketchRefine).unwrap();
     assert!(telemetry.calls() > 0, "sink keeps working after reset");
 }
